@@ -22,9 +22,11 @@ removes them).
 
 Robustness guarantees:
 
-* **Atomic writes** — entries are written to a temp file in the cache
-  directory and ``os.replace``-d into place, so concurrent workers and
-  interrupted runs never expose half-written entries.
+* **Atomic writes** — entries go through the shared
+  :func:`~repro.profiling.serialize.write_json_atomic`: a temp file in
+  the cache directory, unique to the writing process and thread, then
+  ``os.replace``-d into place, so concurrent workers and interrupted
+  runs never expose half-written entries.
 * **Integrity validation** — each entry embeds a SHA-256 checksum of
   its canonical payload JSON; a mismatch (bit-flip, truncation, manual
   edit) is detected on load.
@@ -46,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..config import cache_dir_from_env, no_cache_from_env
 from ..errors import CacheError
+from ..profiling.serialize import write_json_atomic
 
 ENTRY_FORMAT = 1
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -169,19 +171,7 @@ class ResultCache:
         }
         try:
             os.makedirs(self.directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=_TMP_PREFIX, suffix=_ENTRY_SUFFIX, dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
+            write_json_atomic(entry, path)
         except OSError as exc:
             raise CacheError(f"could not write cache entry {path}: {exc}") from exc
         self.stats.stores += 1

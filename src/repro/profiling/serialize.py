@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import fields as dataclass_fields
 from typing import IO, Union
 
@@ -56,19 +57,51 @@ def check_schema_version(data: dict, kind: str, err_cls, expected=None) -> None:
 _check_schema_version = check_schema_version
 
 
-def _dump_atomic(data: dict, path: str) -> None:
-    """Write *data* as JSON to *path* without ever exposing a torn file.
+def write_json(data, fh: IO[str]) -> None:
+    """Write exactly the text of ``json.dumps(data)`` to *fh*.
 
-    The dump goes to a ``.tmp`` sibling first and is renamed into place
-    with :func:`os.replace` (atomic on POSIX and Windows), the same
-    pattern ``experiments/cache.py`` uses: a crash mid-dump leaves the
-    previous artifact intact instead of a truncated file that later
-    fails to load as corrupt.
+    ``json.dump`` always runs CPython's pure-Python encoder, about 5x
+    slower than ``json.dumps`` for the same bytes.  Encoding each
+    top-level value of a dict, and each element of a top-level list,
+    with ``json.dumps`` keeps the C encoder while only one piece (one
+    shard or plan of a service snapshot) is held in memory at a time.
     """
-    tmp = path + ".tmp"
+    if not isinstance(data, dict) or not all(isinstance(k, str) for k in data):
+        fh.write(json.dumps(data))
+        return
+    sep = "{"
+    for key, value in data.items():
+        fh.write(f"{sep}{json.dumps(key)}: ")
+        if isinstance(value, list) and value:
+            item_sep = "["
+            for item in value:
+                fh.write(item_sep)
+                fh.write(json.dumps(item))
+                item_sep = ", "
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+        sep = ", "
+    fh.write("}" if data else "{}")
+
+
+def write_json_atomic(data, path: str) -> None:
+    """Write :func:`write_json` output to *path*, never exposing a torn file.
+
+    The bytes go to a temp sibling named for this process and thread,
+    so pool workers or executor threads writing the same path at once
+    never share one, and are renamed into place with :func:`os.replace`
+    (atomic on POSIX and Windows): a crash mid-write leaves the previous
+    file intact.  Errors propagate; callers wrap them in their own
+    :class:`~repro.errors.ReproError` type.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(
+        directory, f".tmp-{name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
     try:
-        with open(tmp, "w") as f:
-            json.dump(data, f)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write_json(data, fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -127,9 +160,9 @@ def save_profile(profile: MissProfile, fh: Union[str, IO]) -> None:
     the dump never clobbers an existing profile on disk.
     """
     if isinstance(fh, str):
-        _dump_atomic(profile_to_dict(profile), fh)
+        write_json_atomic(profile_to_dict(profile), fh)
     else:
-        json.dump(profile_to_dict(profile), fh)
+        write_json(profile_to_dict(profile), fh)
 
 
 def load_profile(fh: Union[str, IO]) -> MissProfile:
@@ -200,9 +233,9 @@ def save_plan(plan: PrefetchPlan, fh: Union[str, IO]) -> None:
     the dump never clobbers an existing plan on disk.
     """
     if isinstance(fh, str):
-        _dump_atomic(plan_to_dict(plan), fh)
+        write_json_atomic(plan_to_dict(plan), fh)
     else:
-        json.dump(plan_to_dict(plan), fh)
+        write_json(plan_to_dict(plan), fh)
 
 
 def load_plan(fh: Union[str, IO]) -> PrefetchPlan:

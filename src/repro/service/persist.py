@@ -11,10 +11,12 @@ stream, though, so this module adds the second layer: periodic
 one snapshot load plus the journal *suffix* written since it.
 
 Snapshots are plain JSON, stamped with the shared ``schema_version``
-machinery, and written atomically (tmp sibling + ``os.replace``, the
-``experiments/cache.py`` pattern): a crash mid-snapshot leaves the
-previous snapshot intact, and :meth:`SnapshotStore.latest` skips any
-unreadable file and falls back to the newest valid one.
+machinery, and written atomically by the shared artifact writer
+(:func:`~repro.profiling.serialize.write_json_atomic`: C-encoded one
+shard or plan at a time into a temp sibling, then ``os.replace``): a
+crash mid-snapshot leaves the previous snapshot intact, and
+:meth:`SnapshotStore.latest` skips any unreadable file and falls back
+to the newest valid one.
 
 Correctness argument for convergence: the ingest fold is deterministic
 (seeded sketch/reservoir, queue order == fold order), a snapshot
@@ -37,6 +39,7 @@ from ..profiling.serialize import (
     check_schema_version,
     plan_from_dict,
     plan_to_dict,
+    write_json_atomic,
 )
 from .build import PlanDiff, PlanVersion
 from .ingest import ShardKey, ShardState
@@ -380,8 +383,8 @@ class SnapshotStore:
     """A directory of numbered snapshot files with atomic writes.
 
     Files are ``snapshot-<seq:08d>.json``; ``write()`` goes through a
-    ``.tmp`` sibling and ``os.replace`` so a reader never observes a
-    torn snapshot, then prunes old sequence numbers beyond ``keep``.
+    temp sibling and ``os.replace`` so a reader never observes a torn
+    snapshot, then prunes old sequence numbers beyond ``keep``.
     """
 
     def __init__(self, directory: str, keep: int = 2):
@@ -424,17 +427,10 @@ class SnapshotStore:
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"snapshot carries no usable seq: {exc}") from exc
         path = self._path(seq)
-        tmp = path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            write_json_atomic(data, path)
+        except OSError as exc:
+            raise SnapshotError(f"could not write snapshot {path}: {exc}") from exc
         self.prune()
         return path
 

@@ -17,18 +17,27 @@ The graph over-approximates feasible execution paths, so
 site to its branch, no execution can ever have put that site in the
 branch's LBR window.
 
-Reachability to the (typically ~10^3) branch blocks of a plan is
-computed in one pass: Tarjan SCC condensation, then a reachable-set
-bitmask DP over the condensation DAG — linear in edges even for the
-~300k-block verilator CFG.  Timeliness lower bounds use a bounded
-Dijkstra over per-block fetch-unit weights (each fetched unit costs at
-least one BPU cycle, so the unit-weighted shortest path is a sound
-lower bound on the cycle lead a prefetch can get along that path).
+Everything that depends only on the graph is computed once, at
+construction: the reverse adjacency (flat ``array('i')`` CSR), a
+sorted terminator-pc index, and the Tarjan SCC condensation (component ids
+plus a CSR of condensation edges).  The graph is immutable afterwards,
+so one instance serves every plan of its workload, from any thread.
+
+Reachability to the (typically ~10^3) branch blocks of a plan is then
+one reachable-set bitmask DP over the condensation DAG — linear in
+edges even for the ~300k-block verilator CFG.  Timeliness lower bounds
+use an exact bidirectional bounded Dijkstra per (site, branch) pair
+over per-block fetch-unit weights (each fetched unit costs at least one
+BPU cycle, so the unit-weighted shortest path is a sound lower bound on
+the cycle lead a prefetch can get along that path).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..workloads.cfg import (
@@ -61,12 +70,19 @@ class BlockGraph:
         self.units: List[int] = [
             max(1, -(-size // fetch_width_bytes)) for size in wl.block_size
         ]
+        # Terminator pcs in ascending order with their blocks, the
+        # index behind :meth:`block_of_pc` (a dict would cost ~5x more).
+        order = sorted(
+            (i for i, pc in enumerate(wl.branch_pc) if pc >= 0),
+            key=wl.branch_pc.__getitem__,
+        )
+        self._branch_pcs = array("q", [wl.branch_pc[i] for i in order])
+        self._branch_blocks = array("i", order)
         # Block -> owning function index.
         func_of = [0] * n
         for f in wl.functions:
             for b in f.block_range:
                 func_of[b] = f.index
-        self.func_of = func_of
 
         succ: List[Set[int]] = [set() for _ in range(n)]
         # Function -> fallthrough blocks of its call sites (return edges).
@@ -111,120 +127,207 @@ class BlockGraph:
             if wl.kind_code[i] == KIND_RETURN:
                 succ[i].update(call_returns[func_of[i]])
         self.successors: List[Tuple[int, ...]] = [tuple(sorted(s)) for s in succ]
+        del succ, call_returns, func_of
+        self._index()
+
+    def _index(self) -> None:
+        """Precompute the graph-only structure ``successors`` implies."""
+        n = self.n_blocks
+        # Reverse adjacency as a flat CSR (a counting sort of the edges
+        # by head): the predecessors of block v are
+        # ``_pred[_pred_start[v]:_pred_start[v + 1]]``.  Per-block tuples
+        # would cost megabytes and GC-tracked objects per app.
+        counts = [0] * (n + 1)
+        for ss in self.successors:
+            for w in ss:
+                counts[w + 1] += 1
+        start = list(accumulate(counts))
+        fill = start[:]
+        pred = [0] * start[n]
+        for u, ss in enumerate(self.successors):
+            for w in ss:
+                pred[fill[w]] = u
+                fill[w] += 1
+        self._pred_start = array("i", start)
+        self._pred = array("i", pred)
+        del counts, start, fill, pred
+
+        self._condense()
+
+    def _condense(self) -> None:
+        """Tarjan SCC condensation, stored as component ids + edge CSR.
+
+        Iterative Tarjan numbers components such that every successor
+        component has a smaller id than its predecessors, so a single
+        ascending pass over component ids visits the condensation DAG
+        in reverse topological order.
+        """
+        successors = self.successors
+        n = self.n_blocks
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        comp = array("i", bytes(4 * n))
+        stack: List[int] = []
+        # Blocks in component order: component c owns
+        # members[member_start[c]:member_start[c + 1]].
+        members: List[int] = []
+        member_start = [0]
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(successors[root]))]
+            while work:
+                v, it = work[-1]
+                for w in it:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(successors[w])))
+                        break
+                    if on_stack[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    lv = low[v]
+                    if lv == index[v]:
+                        c = len(member_start) - 1
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            comp[w] = c
+                            members.append(w)
+                            if w == v:
+                                break
+                        member_start.append(len(members))
+                    if work:
+                        u = work[-1][0]
+                        if lv < low[u]:
+                            low[u] = lv
+        del index, low, on_stack
+        ncomp = len(member_start) - 1
+        # Condensation edges, deduplicated with a last-writer mark.
+        mark = [-1] * ncomp
+        csucc: List[int] = []
+        csucc_start = [0]
+        for c in range(ncomp):
+            for k in range(member_start[c], member_start[c + 1]):
+                for w in successors[members[k]]:
+                    d = comp[w]
+                    if d != c and mark[d] != c:
+                        mark[d] = c
+                        csucc.append(d)
+            csucc_start.append(len(csucc))
+        self.n_components = ncomp
+        self._comp = comp
+        self._csucc = array("i", csucc)
+        self._csucc_start = array("i", csucc_start)
 
     # ------------------------------------------------------------------
     def reachable_targets(self, targets: Sequence[int]) -> "ReachIndex":
         """Precompute which of *targets* every block can reach."""
-        return ReachIndex(self.successors, targets)
+        return ReachIndex(self, targets)
 
-    def min_leads(
-        self, site: int, targets: Set[int], cap: int
-    ) -> Dict[int, int]:
-        """Minimum fetch-unit lead from *site* to each reachable target.
+    def block_of_pc(self, pc: int) -> Optional[int]:
+        """The block whose terminator sits at *pc*, or ``None``."""
+        pcs = self._branch_pcs
+        k = bisect_right(pcs, pc) - 1
+        if k >= 0 and pcs[k] == pc:
+            return self._branch_blocks[k]
+        return None
+
+    def min_lead(self, site: int, target: int, cap: int) -> Optional[int]:
+        """Minimum fetch-unit lead from *site* to *target*, if below *cap*.
 
         The lead of a path is the units fetched from the site block
         (inclusive) up to the target block (exclusive): a lower bound
         on the cycles between issuing a prefetch at the site and the
-        branch's BTB lookup along that path.  Exploration stops at
-        *cap* units — any target not in the result has a lead of at
-        least *cap* on every path (or is unreachable).
+        branch's BTB lookup along that path.  Returns ``None`` when
+        every path has a lead of at least *cap* (or none exists); a
+        site that is its own target has lead 0 whatever the cap.
+
+        Exact bidirectional Dijkstra: the forward search follows
+        successors, the backward search follows predecessors, where
+        reverse edge u <- v costs ``units[u]``.  Each side expands from
+        its smaller heap; every label improvement is checked against
+        the other side's label, and the search stops once the two heap
+        minima sum to at least min(best, *cap*) — no unseen path can
+        then be shorter than the best one found.
         """
+        if site == target:
+            return 0
         units = self.units
         succ = self.successors
-        dist: Dict[int, int] = {site: 0}
-        out: Dict[int, int] = {}
-        heap: List[Tuple[int, int]] = [(0, site)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, _UNREACHED):
-                continue
-            if u in targets and u not in out:
-                out[u] = d
-                if len(out) == len(targets):
-                    return out
-            nd = d + units[u]
-            if nd >= cap:
-                continue
-            for v in succ[u]:
-                if nd < dist.get(v, _UNREACHED):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return out
+        pred_start = self._pred_start
+        pred = self._pred
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        fdist: Dict[int, int] = {site: 0}
+        bdist: Dict[int, int] = {target: 0}
+        fheap: List[Tuple[int, int]] = [(0, site)]
+        bheap: List[Tuple[int, int]] = [(0, target)]
+        best = cap
+        while fheap and bheap and fheap[0][0] + bheap[0][0] < best:
+            if len(fheap) <= len(bheap):
+                d, u = heappop(fheap)
+                if d > fdist[u]:
+                    continue
+                nd = d + units[u]
+                if nd >= best:
+                    continue
+                for v in succ[u]:
+                    if nd < fdist.get(v, _UNREACHED):
+                        fdist[v] = nd
+                        heappush(fheap, (nd, v))
+                        back = bdist.get(v)
+                        if back is not None and nd + back < best:
+                            best = nd + back
+            else:
+                d, v = heappop(bheap)
+                if d > bdist[v]:
+                    continue
+                for j in range(pred_start[v], pred_start[v + 1]):
+                    u = pred[j]
+                    nd = d + units[u]
+                    if nd < best and nd < bdist.get(u, _UNREACHED):
+                        bdist[u] = nd
+                        heappush(bheap, (nd, u))
+                        fwd = fdist.get(u)
+                        if fwd is not None and fwd + nd < best:
+                            best = fwd + nd
+        return best if best < cap else None
 
 
 class ReachIndex:
     """Answers "does block *s* reach target *t*?" for a fixed target set.
 
-    Built once per verification: iterative Tarjan SCC over the block
-    graph, then a bitmask union over the condensation in reverse
-    topological order (Tarjan numbers components such that every
-    successor component has a smaller id than its predecessors).
+    Built once per verification over the graph's cached condensation:
+    a bitmask union in ascending component order, which is reverse
+    topological order (see :meth:`BlockGraph._condense`).
     """
 
-    def __init__(self, successors: Sequence[Tuple[int, ...]], targets: Sequence[int]):
-        n = len(successors)
+    def __init__(self, graph: BlockGraph, targets: Sequence[int]):
         self._tbit = {t: k for k, t in enumerate(dict.fromkeys(targets))}
-        index = [0] * n
-        low = [0] * n
-        on_stack = [False] * n
-        assigned = [False] * n
-        comp = [-1] * n
-        stack: List[int] = []
-        counter = 0
-        ncomp = 0
-        for root in range(n):
-            if assigned[root]:
-                continue
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    assigned[v] = True
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                descended = False
-                ss = successors[v]
-                for j in range(pi, len(ss)):
-                    w = ss[j]
-                    if not assigned[w]:
-                        work[-1] = (v, j + 1)
-                        work.append((w, 0))
-                        descended = True
-                        break
-                    if on_stack[w] and index[w] < low[v]:
-                        low[v] = index[w]
-                if descended:
-                    continue
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-                work.pop()
-                if work:
-                    u, _ = work[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-        cmask = [0] * ncomp
+        comp = graph._comp
+        csucc = graph._csucc
+        start = graph._csucc_start
+        cmask = [0] * graph.n_components
         for t, k in self._tbit.items():
             cmask[comp[t]] |= 1 << k
-        csucc: List[Set[int]] = [set() for _ in range(ncomp)]
-        for v in range(n):
-            cv = comp[v]
-            for w in successors[v]:
-                if comp[w] != cv:
-                    csucc[cv].add(comp[w])
-        # Successor components always carry smaller Tarjan ids, so one
-        # ascending pass propagates every reachable target bit.
-        for c in range(ncomp):
+        for c in range(graph.n_components):
+            lo, hi = start[c], start[c + 1]
+            if lo == hi:
+                continue
             m = cmask[c]
-            for d in csucc[c]:
-                m |= cmask[d]
+            for j in range(lo, hi):
+                m |= cmask[csucc[j]]
             cmask[c] = m
         self._comp = comp
         self._cmask = cmask

@@ -111,11 +111,6 @@ def verify_plan(
     loc_plan = f"plan[{plan.app_name}]"
     n_blocks = workload.n_blocks
 
-    # Terminator pc -> block index, for locating each entry's branch.
-    block_of_pc: Dict[int, int] = {
-        pc: i for i, pc in enumerate(workload.branch_pc) if pc >= 0
-    }
-
     # --- P102: coalescing table structure --------------------------------
     table_index: Dict[int, int] = {}
     prev_pc = -1
@@ -261,7 +256,7 @@ def verify_plan(
 
             # P106: every prefetched entry must describe a real branch.
             for pc, target, kcode in op.entries:
-                branch_block = block_of_pc.get(pc)
+                branch_block = graph.block_of_pc(pc)
                 if branch_block is None:
                     findings.append(
                         _f(
@@ -296,50 +291,42 @@ def verify_plan(
                     pairs.add((op.block, branch_block))
 
     # --- P105/P107: reachability and static timeliness -------------------
-    sites = sorted({s for s, _ in pairs})
-    targets_by_site: Dict[int, Set[int]] = {}
-    for s, b in pairs:
-        targets_by_site.setdefault(s, set()).add(b)
-    all_targets = sorted({b for _, b in pairs})
     if pairs:
-        reach = graph.reachable_targets(all_targets)
+        reach = graph.reachable_targets(sorted({b for _, b in pairs}))
         threshold = twig.prefetch_distance
-        for site in sites:
-            branch_blocks = targets_by_site[site]
-            leads = graph.min_leads(site, branch_blocks, cap=threshold)
-            for branch_block in sorted(branch_blocks):
-                loc = f"{loc_plan}.block[{site}]->block[{branch_block}]"
-                if site == branch_block:
-                    findings.append(
-                        _f(
-                            "P105",
-                            loc,
-                            "injection site is the missing branch's own "
-                            "block: the prefetch can never lead its lookup",
-                        )
+        for site, branch_block in sorted(pairs):
+            loc = f"{loc_plan}.block[{site}]->block[{branch_block}]"
+            if site == branch_block:
+                findings.append(
+                    _f(
+                        "P105",
+                        loc,
+                        "injection site is the missing branch's own "
+                        "block: the prefetch can never lead its lookup",
                     )
-                    continue
-                if not reach.reaches(site, branch_block):
-                    findings.append(
-                        _f(
-                            "P105",
-                            loc,
-                            f"no CFG path from injection site block {site} "
-                            f"to branch block {branch_block}",
-                        )
+                )
+                continue
+            if not reach.reaches(site, branch_block):
+                findings.append(
+                    _f(
+                        "P105",
+                        loc,
+                        f"no CFG path from injection site block {site} "
+                        f"to branch block {branch_block}",
                     )
-                    continue
-                lead = leads.get(branch_block)
-                if lead is not None and lead < threshold:
-                    findings.append(
-                        _f(
-                            "P107",
-                            loc,
-                            f"static shortest path is {lead} fetch unit(s), "
-                            f"below prefetch_distance={threshold}; the "
-                            "prefetch may be late along this path",
-                        )
+                )
+                continue
+            lead = graph.min_lead(site, branch_block, threshold)
+            if lead is not None:
+                findings.append(
+                    _f(
+                        "P107",
+                        loc,
+                        f"static shortest path is {lead} fetch unit(s), "
+                        f"below prefetch_distance={threshold}; the "
+                        "prefetch may be late along this path",
                     )
+                )
 
     # --- P108: plan-level accounting -------------------------------------
     if plan.misses_targeted < 0 or plan.misses_with_site < 0:

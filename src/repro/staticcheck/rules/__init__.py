@@ -24,6 +24,11 @@ rule id   name                    severity  invariant
                                             drift/service durable state
                                             pairs ``to_dict`` with
                                             ``from_dict``
+``L108``  no-json-dump            error     no un-indented
+                                            ``json.dump``: it always
+                                            runs the pure-Python
+                                            encoder, ~5x slower than
+                                            ``json.dumps``
 ========  ======================  ========  ===========================
 
 Rules register themselves via :func:`register`; :func:`default_rules`

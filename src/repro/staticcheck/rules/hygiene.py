@@ -1,4 +1,4 @@
-"""General hygiene rules: mutable default arguments."""
+"""General hygiene rules: mutable default arguments, slow JSON writes."""
 
 from __future__ import annotations
 
@@ -45,3 +45,38 @@ class MutableDefaultRule(Rule):
                         "object is shared across every call — default to "
                         "None and construct inside",
                     )
+
+
+@register
+class JsonDumpRule(Rule):
+    """L108: ``json.dump`` where ``json.dumps`` writes the same bytes faster."""
+
+    rule = "L108"
+    name = "no-json-dump"
+    severity = Severity.ERROR
+
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dump"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            ):
+                continue
+            # Indented output takes the pure-Python encoder either way.
+            if any(
+                kw.arg == "indent"
+                and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
+                for kw in node.keywords
+            ):
+                continue
+            yield self.finding(
+                module,
+                node,
+                "json.dump() always runs the pure-Python encoder, about 5x "
+                "slower than json.dumps() for the same bytes; write the "
+                "json.dumps() text instead (profiling.serialize.write_json "
+                "streams a large document piece by piece)",
+            )

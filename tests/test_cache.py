@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import CacheError
 from repro.experiments.cache import (
+    ENTRY_FORMAT,
     QUARANTINE_SUBDIR,
     ResultCache,
     cache_from_env,
@@ -56,6 +57,21 @@ class TestCachePrimitives:
         assert cache_key({"a": 1}) != cache_key({"a": 2})
         # Key ordering must not matter (canonical JSON).
         assert cache_key({"a": 1, "b": 2}) == cache_key({"b": 2, "a": 1})
+
+    def test_entry_bytes_equal_json_dumps(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        fields = {"kind": "unit", "x": 1}
+        payload = {"samples": [{"w": [[1, 2.5]]}] * 3, "label": "caf\u00e9"}
+        path = cache.store(fields, payload)
+        entry = {
+            "format": ENTRY_FORMAT,
+            "key": cache_key(fields),
+            "fields": fields,
+            "checksum": payload_checksum(payload),
+            "payload": payload,
+        }
+        with open(path, "rb") as fh:
+            assert fh.read() == json.dumps(entry).encode()
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ResultCache(str(tmp_path))

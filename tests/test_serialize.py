@@ -20,6 +20,7 @@ from repro.profiling.serialize import (
     profile_to_dict,
     save_plan,
     save_profile,
+    write_json,
 )
 
 
@@ -161,17 +162,22 @@ class TestAtomicSaves:
         """Out-of-band interrupt, like SIGKILL landing mid-dump."""
 
     def crashing_dump(self, monkeypatch, after_chars: int):
-        """Make json.dump die after emitting *after_chars* characters."""
+        """Make the JSON writer die once it has emitted *after_chars*
+        characters: the writer encodes piece by piece with json.dumps,
+        so the earlier pieces are already in the tmp file."""
         import repro.profiling.serialize as serialize
 
         real_dumps = json.dumps
+        emitted = [0]
 
-        def dump(data, fh, **kwargs):
-            text = real_dumps(data, **kwargs)
-            fh.write(text[:after_chars])
-            raise self.Boom()
+        def dumps(obj, **kwargs):
+            if emitted[0] >= after_chars:
+                raise self.Boom()
+            text = real_dumps(obj, **kwargs)
+            emitted[0] += len(text)
+            return text
 
-        monkeypatch.setattr(serialize.json, "dump", dump)
+        monkeypatch.setattr(serialize.json, "dumps", dumps)
 
     def test_interrupted_save_profile_keeps_old_file(
         self, artifacts, tmp_path, monkeypatch
@@ -216,3 +222,39 @@ class TestAtomicSaves:
         buf = io.StringIO()
         save_profile(profile, buf)
         assert json.loads(buf.getvalue())["kind"] == "miss_profile"
+
+
+class TestJsonWriter:
+    """The shared artifact writer emits exactly ``json.dumps(data)``."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"a": [], "b": {}, "c": [1, [2, 3], {"d": None}], "e": 1.5},
+            {"nan": float("nan"), "uni": "caf\u00e9 \u2603", "t": (1, 2)},
+            {1: "int key", "s": [True, False]},
+            [{"x": 1}, [2]],
+            "scalar",
+        ],
+    )
+    def test_bytes_equal_json_dumps(self, data):
+        buf = io.StringIO()
+        write_json(data, buf)
+        assert buf.getvalue() == json.dumps(data)
+        # ...which is also what the json.dump writers it replaced wrote.
+        old = io.StringIO()
+        json.dump(data, old)
+        assert buf.getvalue() == old.getvalue()
+
+    def test_profile_bytes_equal_json_dumps(self, artifacts, tmp_path):
+        _, _, _, profile, plan = artifacts
+        path = tmp_path / "profile.json"
+        save_profile(profile, str(path))
+        assert path.read_bytes() == json.dumps(profile_to_dict(profile)).encode()
+        buf = io.StringIO()
+        save_profile(profile, buf)
+        assert buf.getvalue() == json.dumps(profile_to_dict(profile))
+        path = tmp_path / "plan.json"
+        save_plan(plan, str(path))
+        assert path.read_bytes() == json.dumps(plan_to_dict(plan)).encode()

@@ -295,6 +295,31 @@ class TestSnapshotStore:
         with pytest.raises(SnapshotError, match="cannot create"):
             SnapshotStore(str(blocker / "snaps"))
 
+    def test_written_bytes_equal_json_dumps(
+        self, tmp_path, tiny_workload, stream_artifacts
+    ):
+        # Two shards and their plans, so the writer streams list
+        # elements of both top-level lists it splits.
+        _, stream = stream_artifacts
+        buffer = make_buffer()
+        builder = IncrementalPlanBuilder(
+            workload_for=lambda app: tiny_workload, config=CFG, check_plans=False
+        )
+        for label in ("0", "1"):
+            feed(buffer, stream, label, upto=4)
+            builder.build(buffer.get((APP, label)))
+        data = capture_snapshot(Holder(buffer, builder), 7, {(APP, "0"): 4})
+        assert len(data["shards"]) == 2 and len(data["plans"]) == 2
+        path = SnapshotStore(str(tmp_path)).write(data)
+        with open(path, "rb") as fh:
+            assert fh.read() == json.dumps(data).encode()
+
+    def test_write_failure_is_a_snapshot_error(self, tmp_path):
+        store = SnapshotStore(str(tmp_path / "snaps"))
+        os.rmdir(store.directory)
+        with pytest.raises(SnapshotError, match="could not write snapshot"):
+            store.write(self.payload(1))
+
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
         store.write(self.payload(1))

@@ -154,6 +154,28 @@ class TestHygieneRule:
         src = "def f(a=None, b=(), c=0, d='x'):\n    return a, b, c, d\n"
         assert lint_snippet(tmp_path, src) == []
 
+    def test_l108_json_dump(self, tmp_path):
+        src = (
+            "import json\n"
+            "def save(data, fh):\n"
+            "    json.dump(data, fh)\n"
+            "    json.dump(data, fh, indent=None)\n"
+        )
+        findings = lint_snippet(tmp_path, src)
+        assert [(f.rule, f.line) for f in findings] == [("L108", 3), ("L108", 4)]
+        assert "pure-Python encoder" in findings[0].message
+
+    def test_l108_dumps_and_indented_dump_allowed(self, tmp_path):
+        # Indented output runs the pure-Python encoder whichever call
+        # writes it, so only un-indented json.dump is a finding.
+        src = (
+            "import json\n"
+            "def save(data, fh):\n"
+            "    fh.write(json.dumps(data))\n"
+            "    json.dump(data, fh, indent=2, sort_keys=True)\n"
+        )
+        assert lint_snippet(tmp_path, src) == []
+
 
 class TestSanitizeCoverageRule:
     def test_l107_frontend_class_without_hook(self, tmp_path):
@@ -375,7 +397,7 @@ class TestRuleInventoryPinned:
         assert set(PLAN_RULES) == {f"P10{i}" for i in range(1, 9)}
         assert set(CFG_RULES) == {f"C10{i}" for i in range(1, 6)}
         default_rules()
-        assert set(LINT_RULES) == {f"L10{i}" for i in range(1, 8)}
+        assert set(LINT_RULES) == {f"L10{i}" for i in range(1, 9)}
         assert set(SERVICE_RULES) == {f"A10{i}" for i in range(1, 7)}
         assert set(ENGINE_RULES) == {"U101"}
 
@@ -394,7 +416,7 @@ class TestRepoIsClean:
     def test_rule_catalog_registered(self):
         rules = default_rules()
         assert {r.rule for r in rules} == set(LINT_RULES)
-        assert len(LINT_RULES) == 7
+        assert len(LINT_RULES) == 8
 
     def test_source_tree_lints_clean(self):
         findings = lint_source_tree()
