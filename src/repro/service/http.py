@@ -154,18 +154,59 @@ def _ack_from_wire(data: dict) -> IngestAck:
         raise TransportError(f"malformed ingest ack: {exc}") from exc
 
 
+def _wire_body(payload: dict) -> bytes:
+    """Stamp *payload* with the wire schema version and encode it."""
+    stamped = {"schema_version": WIRE_SCHEMA_VERSION}
+    stamped.update(payload)
+    return json.dumps(stamped).encode("utf-8")
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request/status/header line; an over-long line is malformed."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # line longer than the stream limit (64 KiB)
+        raise TransportError(f"HTTP line too long: {exc}") from None
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader,
+) -> Tuple[Dict[str, str], bytes]:
+    """The header block after the first line, then a Content-Length body."""
+    headers: Dict[str, str] = {}
+    while True:
+        hline = await _read_line(reader)
+        if hline in (b"\r\n", b"\n", b""):
+            break
+        name, sep, value = hline.decode("latin-1").partition(":")
+        if not sep:
+            raise TransportError(f"malformed header line {hline!r}")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0") or "0"
+    if not raw_length.isdecimal():
+        raise TransportError(f"malformed Content-Length {raw_length!r}")
+    return headers, await reader.readexactly(int(raw_length))
+
+
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
 
 class HttpPlanServer:
-    """Asyncio HTTP front end over one :class:`PlanService`."""
+    """Asyncio HTTP front end over one :class:`PlanService`.
+
+    A plan response is encoded once per published :class:`PlanVersion`
+    object and its bytes are reused until the service hands out a
+    different object for that shard (see :meth:`_plan_body`).
+    """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
         self.service = service
         self.host = host
         self.port = port  # 0 = ephemeral; updated to the bound port at start
         self._server: Optional[asyncio.AbstractServer] = None
+        # shard key -> (last PlanVersion served, its full response body)
+        self._plan_bodies: Dict[Tuple[str, str], Tuple[PlanVersion, bytes]] = {}
 
     # ------------------------------------------------------------------
     async def start(self) -> "HttpPlanServer":
@@ -195,22 +236,19 @@ class HttpPlanServer:
     ) -> None:
         """One connection, one request: parse, dispatch, respond, close."""
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, target, headers, body = request
             try:
+                request = await self._read_request(reader)
+                if request is None:
+                    return
+                method, target, headers, body = request
                 self._check_header_version(headers)
-                status, payload = await self._dispatch(method, target, body)
+                status, response = await self._dispatch(method, target, body)
             except ReproError as exc:
                 status = _status_for(exc)
-                payload = {
-                    "error": {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                }
-            await self._respond(writer, status, payload)
+                response = _wire_body(
+                    {"error": {"type": type(exc).__name__, "message": str(exc)}}
+                )
+            await self._respond(writer, status, response)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
@@ -221,30 +259,14 @@ class HttpPlanServer:
                 pass
 
     async def _read_request(self, reader) -> Optional[Tuple[str, str, Dict, bytes]]:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise TransportError(f"malformed request line {line!r}")
         method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = hline.decode("latin-1").partition(":")
-            if not sep:
-                raise TransportError(f"malformed header line {hline!r}")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise TransportError(
-                f"malformed Content-Length {raw_length!r}"
-            ) from None
-        body = await reader.readexactly(length) if length > 0 else b""
+        headers, body = await _read_headers_and_body(reader)
         return method, target, headers, body
 
     def _check_header_version(self, headers: Dict[str, str]) -> None:
@@ -275,7 +297,9 @@ class HttpPlanServer:
         _check_wire_version(data)
         return data
 
-    async def _dispatch(self, method: str, target: str, body: bytes):
+    async def _dispatch(
+        self, method: str, target: str, body: bytes
+    ) -> Tuple[int, bytes]:
         split = urlsplit(target)
         path = split.path
         if path == "/v1/ingest" and method == "POST":
@@ -293,7 +317,7 @@ class HttpPlanServer:
                 seq=int(data.get("seq", 0)),
                 deadline_ms=data.get("deadline_ms"),
             )
-            return 200, {"ack": _ack_to_wire(ack)}
+            return 200, _wire_body({"ack": _ack_to_wire(ack)})
         if path == "/v1/plan" and method in ("GET", "POST"):
             if method == "POST":
                 data = self._parse_body(body)
@@ -312,22 +336,40 @@ class HttpPlanServer:
             version = await self.service.get_plan(
                 app, label, deadline_ms=data.get("deadline_ms")
             )
-            return 200, {"plan_version": plan_version_to_dict(version)}
+            return 200, self._plan_body(version)
         if path == "/v1/stats" and method == "GET":
-            return 200, {"stats": await self.service.stats()}
+            return 200, _wire_body({"stats": await self.service.stats()})
         if path == "/v1/health" and method == "GET":
-            return 200, {
-                "status": "draining" if self.service._closed else "ok",
-                "started": self.service._started,
-            }
+            return 200, _wire_body(
+                {
+                    "status": "draining" if self.service._closed else "ok",
+                    "started": self.service._started,
+                }
+            )
         if path == "/v1/drain" and method == "POST":
-            return 200, {"stats": await self.service.stop()}
+            return 200, _wire_body({"stats": await self.service.stop()})
         raise TransportError(f"no endpoint for {method} {path}")
 
-    async def _respond(self, writer, status: int, payload: dict) -> None:
-        body_dict = {"schema_version": WIRE_SCHEMA_VERSION}
-        body_dict.update(payload)
-        body = json.dumps(body_dict).encode("utf-8")
+    def _plan_body(self, version: PlanVersion) -> bytes:
+        """The response body for *version*, encoded once per object.
+
+        Reuse is keyed on object identity, not on the version number:
+        a published ``PlanVersion`` is frozen and its plan is never
+        mutated after the publish gate, but numbers repeat (a forgotten
+        shard restarts at 1) and a canary rollback serves an older
+        object again.  The entry holds the version itself, so its id
+        cannot be recycled while the entry lives.  Memory is one body
+        per shard key this server has answered; a forgotten shard's
+        entry lives until that key is fetched again or the server stops.
+        """
+        entry = self._plan_bodies.get(version.key)
+        if entry is not None and entry[0] is version:
+            return entry[1]
+        body = _wire_body({"plan_version": plan_version_to_dict(version)})
+        self._plan_bodies[version.key] = (version, body)
+        return body
+
+    async def _respond(self, writer, status: int, body: bytes) -> None:
         reason = _STATUS_REASONS.get(status, "Error")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -403,11 +445,7 @@ class PlanClient:
     async def _request(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> dict:
-        body = b""
-        if payload is not None:
-            stamped = {"schema_version": WIRE_SCHEMA_VERSION}
-            stamped.update(payload)
-            body = json.dumps(stamped).encode("utf-8")
+        body = _wire_body(payload) if payload is not None else b""
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
@@ -449,7 +487,7 @@ class PlanClient:
         return data
 
     async def _read_response(self, reader) -> Tuple[int, dict]:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             raise TransportError("empty response from server")
         parts = line.decode("latin-1").strip().split(None, 2)
@@ -459,21 +497,13 @@ class PlanClient:
             status = int(parts[1])
         except ValueError:
             raise TransportError(f"malformed status code {parts[1]!r}") from None
-        headers: Dict[str, str] = {}
-        while True:
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n", b""):
-                break
-            name, _sep, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        headers, body = await _read_headers_and_body(reader)
         raw = headers.get(_SCHEMA_HEADER.lower())
         if raw is not None and raw != str(WIRE_SCHEMA_VERSION):
             raise TransportError(
                 f"unsupported wire schema version {raw!r} in response; this "
                 f"client speaks version {WIRE_SCHEMA_VERSION}"
             )
-        length = int(headers.get("content-length", "0") or 0)
-        body = await reader.readexactly(length) if length > 0 else b""
         try:
             data = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, ValueError) as exc:

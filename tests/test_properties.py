@@ -59,21 +59,36 @@ class TestBTBProperties:
                 btb.insert(pc, 0, K)
         assert btb.hits + btb.misses == btb.lookups == len(stream)
 
-    @given(st.lists(pcs, min_size=1, max_size=300))
+    @given(st.lists(pcs, min_size=16, max_size=16, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=300).map(
+            lambda rereferences: pool + rereferences)))
     @settings(max_examples=50)
     def test_fully_associative_dominates_equal_capacity(self, stream):
-        """FA-LRU never misses more than set-associative LRU on
-        re-references (the premise of conflict-miss classification)."""
+        """A stream of 16 distinct PCs fills the 16-entry FA-LRU BTB without
+        an eviction, so it misses only on first touches and hits every
+        re-reference the 2-way BTB of equal capacity hits (the premise of
+        conflict-miss classification).
+
+        Past capacity LRU promises no such dominance: ``[1, 0, 2, 3, ...,
+        16, 1]`` (17 distinct PCs) hits once in the 2-way BTB and never in
+        the fully-associative one.
+        """
         sa = BTB(BTBConfig(entries=16, ways=2, entry_bytes=8))
         fa = FullyAssociativeBTB(16)
         sa_hits = fa_hits = 0
+        seen = set()
         for pc in stream:
-            if sa.lookup(pc) is not None:
+            sa_hit = sa.lookup(pc) is not None
+            if sa_hit:
                 sa_hits += 1
             else:
                 sa.insert(pc, 0, K)
-            if fa.access(pc):
+            fa_hit = fa.access(pc)
+            if fa_hit:
                 fa_hits += 1
+            assert fa_hit == (pc in seen)
+            assert fa_hit or not sa_hit
+            seen.add(pc)
         assert fa_hits >= sa_hits
 
 

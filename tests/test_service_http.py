@@ -4,11 +4,14 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import gc
 import json
 
 import pytest
 
 from repro.config import SimConfig
+from repro.core.plan import PrefetchPlan
 from repro.core.twig import build_plan
 from repro.errors import (
     ServiceClosed,
@@ -16,6 +19,7 @@ from repro.errors import (
     ServiceOverload,
     TransportError,
 )
+import repro.service.http as http_mod
 from repro.service.bench import collect_sample_stream
 from repro.service.build import plans_equivalent
 from repro.service.http import (
@@ -23,6 +27,7 @@ from repro.service.http import (
     HttpPlanServer,
     PlanClient,
 )
+from repro.service.persist import plan_version_to_dict
 from repro.service.server import PlanService, ServiceConfig
 
 CFG = SimConfig().with_btb(entries=512)
@@ -52,8 +57,14 @@ def make_service(tiny_workload, **overrides) -> PlanService:
     )
 
 
-async def raw_request(host: int, port: int, text: bytes):
+async def raw_request(host: str, port: int, text: bytes):
     """Send raw bytes, return (status, parsed JSON body)."""
+    status, body = await raw_response(host, port, text)
+    return status, (json.loads(body) if body else {})
+
+
+async def raw_response(host: str, port: int, text: bytes):
+    """Send raw bytes, return (status, body bytes exactly as served)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(text)
@@ -68,13 +79,22 @@ async def raw_request(host: int, port: int, text: bytes):
             if name.strip().lower() == b"content-length":
                 length = int(value)
         body = await reader.readexactly(length) if length else b""
-        return status, (json.loads(body) if body else {})
+        return status, body
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def ingest_in_batches(ingest, label, samples, first_seq=0) -> int:
+    """Feed *samples* to *ingest* 64 at a time; returns the next seq."""
+    seq = first_seq
+    for start in range(0, len(samples), 64):
+        await ingest(APP, label, samples[start : start + 64], seq=seq)
+        seq += 1
+    return seq
 
 
 def request_bytes(method, path, payload=None, schema=WIRE_SCHEMA_VERSION):
@@ -306,5 +326,271 @@ class TestTypedErrors:
             client = PlanClient("127.0.0.1", 1)  # nothing listens there
             with pytest.raises(TransportError, match="cannot reach"):
                 await client.health()
+
+        asyncio.run(scenario())
+
+
+def plan_request(label: str) -> bytes:
+    return request_bytes(
+        "POST",
+        "/v1/plan",
+        payload={"schema_version": WIRE_SCHEMA_VERSION, "app": APP, "input": label},
+    )
+
+
+def encoded_plan_body(version) -> bytes:
+    """The plan response body exactly as a fresh encode produces it."""
+    return json.dumps(
+        {
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "plan_version": plan_version_to_dict(version),
+        }
+    ).encode()
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """Versions the server encoded, via the module global it calls."""
+    seen = []
+
+    def counting(version):
+        seen.append(version)
+        return plan_version_to_dict(version)
+
+    monkeypatch.setattr(http_mod, "plan_version_to_dict", counting)
+    return seen
+
+
+class ScriptedService:
+    """Stands in for PlanService: each get_plan returns the next object."""
+
+    def __init__(self, versions):
+        self._versions = iter(versions)
+
+    async def get_plan(self, app_name, input_label, deadline_ms=None):
+        return next(self._versions)
+
+
+class TestPlanBodyReuse:
+    def test_served_bytes_equal_a_fresh_encode(
+        self, tiny_workload, stream_artifacts
+    ):
+        profile, stream = stream_artifacts
+        label = profile.input_label
+
+        async def scenario():
+            service = make_service(tiny_workload)
+            await service.start()
+            async with HttpPlanServer(service) as server:
+                client = PlanClient("127.0.0.1", server.port)
+                await ingest_in_batches(client.ingest, label, stream)
+                first = await raw_response(
+                    "127.0.0.1", server.port, plan_request(label)
+                )
+                again = await raw_response(
+                    "127.0.0.1", server.port, plan_request(label)
+                )
+                health = await raw_response(
+                    "127.0.0.1", server.port, request_bytes("GET", "/v1/health")
+                )
+                missing = await raw_response(
+                    "127.0.0.1",
+                    server.port,
+                    request_bytes("GET", "/v2/everything"),
+                )
+                version = await service.get_plan(APP, label)
+            await service.stop()
+            return first, again, health, missing, version
+
+        first, again, health, missing, version = asyncio.run(scenario())
+        assert first == (200, encoded_plan_body(version))
+        assert again == first
+        assert health == (
+            200,
+            json.dumps(
+                {
+                    "schema_version": WIRE_SCHEMA_VERSION,
+                    "status": "ok",
+                    "started": True,
+                }
+            ).encode(),
+        )
+        assert missing == (
+            400,
+            json.dumps(
+                {
+                    "schema_version": WIRE_SCHEMA_VERSION,
+                    "error": {
+                        "type": "TransportError",
+                        "message": "no endpoint for GET /v2/everything",
+                    },
+                }
+            ).encode(),
+        )
+
+    def test_unchanged_shard_is_encoded_once(
+        self, tiny_workload, stream_artifacts, encodes
+    ):
+        profile, stream = stream_artifacts
+        label = profile.input_label
+
+        async def scenario():
+            service = make_service(tiny_workload)
+            await service.start()
+            async with HttpPlanServer(service) as server:
+                client = PlanClient("127.0.0.1", server.port)
+                await ingest_in_batches(client.ingest, label, stream)
+                fetched = [await client.get_plan(APP, label) for _ in range(20)]
+            await service.stop()
+            return fetched
+
+        fetched = asyncio.run(scenario())
+        assert len(encodes) == 1
+        assert {v.version for v in fetched} == {encodes[0].version}
+        assert all(plans_equivalent(v.plan, encodes[0].plan) for v in fetched)
+
+    def test_rebuild_serves_the_new_version(
+        self, tiny_workload, stream_artifacts, encodes
+    ):
+        profile, stream = stream_artifacts
+        label = profile.input_label
+        half = len(stream) // 2
+
+        async def scenario():
+            service = make_service(tiny_workload)
+            await service.start()
+            async with HttpPlanServer(service) as server:
+                client = PlanClient("127.0.0.1", server.port)
+                seq = await ingest_in_batches(client.ingest, label, stream[:half])
+                before = await client.get_plan(APP, label)
+                await ingest_in_batches(
+                    client.ingest, label, stream[half:], first_seq=seq
+                )
+                _status, body = await raw_response(
+                    "127.0.0.1", server.port, plan_request(label)
+                )
+                latest = await service.get_plan(APP, label)
+            await service.stop()
+            return before, body, latest
+
+        before, body, latest = asyncio.run(scenario())
+        assert latest.version == before.version + 1
+        assert body == encoded_plan_body(latest)
+        assert [v.version for v in encodes] == [before.version, latest.version]
+
+    def test_body_follows_the_object_not_the_version_number(
+        self, tiny_workload, stream_artifacts, encodes
+    ):
+        """Numbers repeat (a forgotten shard restarts at 1) and a
+        rollback serves an older object: identity decides reuse."""
+        profile, stream = stream_artifacts
+        label = profile.input_label
+
+        async def publish():
+            service = make_service(tiny_workload)
+            await service.start()
+            await ingest_in_batches(service.ingest, label, stream)
+            version = await service.get_plan(APP, label)
+            await service.stop()
+            return version
+
+        older = asyncio.run(publish())
+        newer = dataclasses.replace(
+            older, plan=PrefetchPlan(app_name=older.plan.app_name)
+        )
+        assert (newer.key, newer.version) == (older.key, older.version)
+        script = [older, newer, older]
+
+        async def scenario():
+            async with HttpPlanServer(ScriptedService(script)) as server:
+                return [
+                    await raw_response(
+                        "127.0.0.1", server.port, plan_request(label)
+                    )
+                    for _ in script
+                ]
+
+        served = asyncio.run(scenario())
+        assert served == [(200, encoded_plan_body(v)) for v in script]
+        assert served[0] != served[1]
+        assert [v is older for v in encodes] == [True, False, True]
+
+
+OVERLONG = b"a" * (70 * 1024)  # past asyncio's 64 KiB stream line limit
+
+
+class TestMalformedFraming:
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"GARBAGE\r\n\r\n", "malformed request line"),
+            (
+                b"GET /v1/health HTTP/1.1\r\nno colon here\r\n\r\n",
+                "malformed header line",
+            ),
+            (
+                b"POST /v1/plan HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                "malformed Content-Length",
+            ),
+            (
+                b"GET /v1/health HTTP/1.1\r\nX-Pad: " + OVERLONG + b"\r\n\r\n",
+                "line too long",
+            ),
+        ],
+        ids=["request-line", "header-line", "content-length", "overlong-line"],
+    )
+    def test_malformed_request_is_a_typed_400(self, raw, message):
+        unhandled = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: unhandled.append(ctx))
+            async with HttpPlanServer(ScriptedService(())) as server:
+                result = await raw_request("127.0.0.1", server.port, raw)
+            gc.collect()  # an unretrieved handler task reports when collected
+            return result
+
+        status, data = asyncio.run(scenario())
+        assert status == 400
+        assert data["schema_version"] == WIRE_SCHEMA_VERSION
+        assert data["error"]["type"] == "TransportError"
+        assert message in data["error"]["message"]
+        assert unhandled == []
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n",
+                "malformed Content-Length",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nX-Pad: " + OVERLONG + b"\r\n\r\n",
+                "line too long",
+            ),
+            (b"HTTP/1.1 200 " + OVERLONG + b"\r\n\r\n", "line too long"),
+        ],
+        ids=["content-length", "overlong-header", "overlong-status"],
+    )
+    def test_client_framing_errors_are_typed(self, response, message):
+        async def fake_server(reader, writer):
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length:")[1].split()[0])
+            await reader.readexactly(length)
+            writer.write(response)
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass  # the client may hang up before reading it all
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = PlanClient("127.0.0.1", port)
+            with pytest.raises(TransportError, match=message):
+                await client.get_plan(APP, "x")
+            server.close()
+            await server.wait_closed()
 
         asyncio.run(scenario())
