@@ -1,19 +1,9 @@
-"""Wall-clock benchmark harness (``python -m repro.bench``).
+"""Benchmarking: the repo's one wall-clock source and its benchmark.
 
-Times the pipeline phases — trace generation, serial and batched
-simulation, profile collection, plan build, and streaming service
-build — over the paper's applications, and writes the schema-versioned
-``BENCH_sim.json`` report.  See :mod:`repro.bench.harness` for the
-phase definitions and :mod:`repro.bench.schema` for the report layout.
+:mod:`repro.bench.clock` is the only module allowed to read the wall
+clock (lint rule L102); every timing in the tree goes through its
+``now()``.  :mod:`repro.bench.suite` is the end-to-end and per-layer
+benchmark (``python -m repro.bench.suite``) that ``BENCHMARK.json``
+declares: cold figure regeneration and the durable plan service, each
+split into disjoint timed layers.
 """
-
-from .harness import format_bench, run_bench
-from .schema import BENCH_SCHEMA_VERSION, PHASES, validate_bench_dict
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "PHASES",
-    "format_bench",
-    "run_bench",
-    "validate_bench_dict",
-]

@@ -383,40 +383,6 @@ def default_sweep_sim_mode() -> Optional[str]:
     return "auto" if sanitize_from_env() else "fast"
 
 
-def bench_instructions_from_env() -> int:
-    """Per-app trace length for ``repro.bench`` (``REPRO_BENCH_INSTRUCTIONS``)."""
-    return int_from_env("REPRO_BENCH_INSTRUCTIONS", 1_000_000)
-
-
-def bench_repeats_from_env() -> int:
-    """Timed repetitions per bench phase (``REPRO_BENCH_REPEATS``).
-
-    Each phase reports the minimum over this many repetitions — the
-    standard noise floor for wall-clock microbenchmarks.
-    """
-    return int_from_env("REPRO_BENCH_REPEATS", 1)
-
-
-def bench_apps_from_env() -> Optional[Tuple[str, ...]]:
-    """App subset for ``repro.bench`` (``REPRO_BENCH_APPS``), or ``None``.
-
-    Same contract as :func:`apps_from_env`: raw names out, catalog
-    validation with the consumer (:mod:`repro.bench.harness`).
-    """
-    raw = os.environ.get("REPRO_BENCH_APPS", "")
-    if not raw:
-        return None
-    apps = tuple(a.strip() for a in raw.split(",") if a.strip())
-    if not apps:
-        raise ConfigError("REPRO_BENCH_APPS must name at least one app")
-    return apps
-
-
-def bench_out_from_env() -> str:
-    """Bench report path from ``REPRO_BENCH_OUT`` (default ``BENCH_sim.json``)."""
-    return os.environ.get("REPRO_BENCH_OUT", "").strip() or "BENCH_sim.json"
-
-
 def is_power_of_two(value: int) -> bool:
     """Return True when *value* is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0

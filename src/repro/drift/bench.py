@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SimConfig, apps_from_env, int_from_env
-from ..errors import PlanStaleError, ReproError
+from ..errors import BenchError, PlanStaleError, ReproError
+from ..profiling.serialize import check_schema_version
 from ..service.bench import _abandon_service, collect_sample_stream
 from ..service.build import plans_equivalent
 from ..service.server import PlanService, ServiceConfig, default_workload_resolver
@@ -52,6 +53,9 @@ from .scenarios import (
     make_schedule,
     stale_sites,
 )
+
+# ``BENCH_drift.json`` layout version; see validate_drift_bench_dict.
+DRIFT_BENCH_SCHEMA_VERSION = 1
 
 # The verdict each scenario must deterministically produce.
 EXPECTED_VERDICT = {
@@ -349,8 +353,6 @@ def drift_report_to_dict(
     report: DriftBenchReport, cfg: DriftBenchConfig
 ) -> Dict:
     """Schema-versioned ``BENCH_drift.json`` payload."""
-    from ..bench.schema import DRIFT_BENCH_SCHEMA_VERSION
-
     return {
         "format": DRIFT_BENCH_SCHEMA_VERSION,
         "schema_version": DRIFT_BENCH_SCHEMA_VERSION,
@@ -399,10 +401,140 @@ def drift_report_to_dict(
     }
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise BenchError(message)
+
+
+def validate_drift_bench_dict(data: dict) -> None:
+    """Validate a loaded ``BENCH_drift.json``; raise :class:`BenchError`.
+
+    Layout (version 1)::
+
+        {
+          "schema_version": 1,
+          "kind": "drift_bench",
+          "settings": {"apps", "scenarios", "trace_instructions",
+                       "phases", "deployed_fraction", "canary_fraction",
+                       "window", "windows", "threshold", "seed"},
+          "cases": [
+            {"app", "scenario", "input", "stream_samples",
+             "baseline_version", "stale_sites", "stale_typed",
+             "detection_latency_samples", "epoch", "verdict", "expected",
+             "verdict_correct", "samples_to_verdict", "baseline_score",
+             "candidate_score", "active_version", "history",
+             "rollback_correct"}, ...
+          ],
+          "summary": {"cases", "verdict_accuracy", "recovery_ok"},
+          "wall_s": float
+        }
+
+    ``detection_latency_samples`` is ``null`` for scenarios without a
+    relocation; ``verdict``/``samples_to_verdict`` are ``null`` when
+    the feedback stream ran dry before both canary arms closed enough
+    windows.
+    """
+    _require(isinstance(data, dict), "drift bench report must be a JSON object")
+    if data.get("kind") != "drift_bench":
+        raise BenchError(
+            f"not a drift bench report (kind={data.get('kind')!r}, "
+            "expected 'drift_bench')"
+        )
+    check_schema_version(
+        data,
+        "drift bench report",
+        BenchError,
+        expected=DRIFT_BENCH_SCHEMA_VERSION,
+    )
+
+    settings = data.get("settings")
+    _require(
+        isinstance(settings, dict), "drift bench report carries no settings"
+    )
+    for key in ("apps", "scenarios"):
+        _require(
+            isinstance(settings.get(key), list) and settings[key],
+            f"settings.{key} must be a non-empty list",
+        )
+    for key in ("trace_instructions", "phases", "window", "windows"):
+        _require(
+            isinstance(settings.get(key), int) and settings[key] > 0,
+            f"settings.{key} must be a positive integer",
+        )
+    for key in ("deployed_fraction", "canary_fraction", "threshold"):
+        value = settings.get(key)
+        _require(
+            isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
+            f"settings.{key} must be a number in [0, 1]",
+        )
+
+    cases = data.get("cases")
+    _require(
+        isinstance(cases, list) and cases,
+        "drift bench report carries no cases",
+    )
+    for i, case in enumerate(cases):
+        _require(isinstance(case, dict), f"cases[{i}] is not an object")
+        for key in ("app", "scenario", "expected"):
+            _require(
+                isinstance(case.get(key), str) and case[key],
+                f"cases[{i}].{key} must be a non-empty string",
+            )
+        for key in ("stream_samples", "baseline_version", "stale_sites",
+                    "epoch", "active_version"):
+            _require(
+                isinstance(case.get(key), int) and case[key] >= 0,
+                f"cases[{i}].{key} must be a non-negative integer",
+            )
+        for key in ("stale_typed", "verdict_correct", "rollback_correct"):
+            _require(
+                isinstance(case.get(key), bool),
+                f"cases[{i}].{key} must be a boolean",
+            )
+        latency = case.get("detection_latency_samples")
+        _require(
+            latency is None or (isinstance(latency, int) and latency >= 0),
+            f"cases[{i}].detection_latency_samples must be null or a "
+            "non-negative integer",
+        )
+        verdict = case.get("verdict")
+        _require(
+            verdict is None or verdict in ("promoted", "rolled_back"),
+            f"cases[{i}].verdict must be null, 'promoted', or 'rolled_back'",
+        )
+        history = case.get("history")
+        _require(
+            isinstance(history, list),
+            f"cases[{i}].history must be a list",
+        )
+
+    summary = data.get("summary")
+    _require(isinstance(summary, dict), "drift bench report carries no summary")
+    _require(
+        isinstance(summary.get("cases"), int) and summary["cases"] == len(cases),
+        "summary.cases must match the number of case records",
+    )
+    accuracy = summary.get("verdict_accuracy")
+    _require(
+        accuracy is None
+        or (isinstance(accuracy, (int, float)) and 0.0 <= accuracy <= 1.0),
+        "summary.verdict_accuracy must be null or a number in [0, 1]",
+    )
+    _require(
+        summary.get("recovery_ok") is None
+        or isinstance(summary["recovery_ok"], bool),
+        "summary.recovery_ok must be null or a boolean",
+    )
+
+    wall = data.get("wall_s")
+    _require(
+        isinstance(wall, (int, float)) and wall >= 0.0,
+        "wall_s must be a non-negative number",
+    )
+
+
 def save_drift_report(data: Dict, path: str) -> None:
     """Validate and atomically write a ``BENCH_drift.json`` payload."""
-    from ..bench.schema import validate_drift_bench_dict
-
     validate_drift_bench_dict(data)
     tmp = path + ".tmp"
     try:
@@ -532,6 +664,7 @@ def drift_bench_main(argv=None) -> int:
         ) or scenarios[:1]
         trace_instructions = min(trace_instructions, 8_000)
 
+    sink = None
     try:
         cfg = DriftBenchConfig(
             apps=apps,
@@ -552,12 +685,14 @@ def drift_bench_main(argv=None) -> int:
         data = drift_report_to_dict(report, cfg)
         if args.out:
             save_drift_report(data, args.out)
+        if sink is not None:
+            sink.emit_summary()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if sink is not None:
-        sink.emit_summary()
-        sink.close()
+    finally:
+        if sink is not None:
+            sink.close()
     print(format_drift_report(report))
     if args.out:
         print(f"report: {args.out}")

@@ -12,7 +12,7 @@ Usage::
     python -m repro.experiments telemetry-report run.jsonl  # summarize it
     python -m repro.experiments serve --apps wordpress      # plan service demo
     python -m repro.experiments service-bench --overload    # stress the service
-    python -m repro.experiments service-load-bench --smoke  # HTTP SLO bench
+    python -m repro.experiments fleet-bench --chaos         # sharded fleet chaos
     python -m repro.experiments drift-bench --smoke         # drift + canary smoke
 
 ``--jobs``/``--cache-dir`` default to the ``REPRO_JOBS`` /
@@ -50,22 +50,15 @@ def main(argv=None) -> int:
     # Subcommands with their own flag vocabularies dispatch before the
     # experiment parser sees (and rejects) those flags.
     if argv and argv[0] in (
-        "serve", "service-bench", "fleet-bench", "service-load-bench",
-        "drift-bench",
+        "serve", "service-bench", "fleet-bench", "drift-bench",
     ):
         from ..drift.bench import drift_bench_main
-        from ..service.bench import (
-            fleet_bench_main,
-            load_bench_main,
-            serve_main,
-            service_bench_main,
-        )
+        from ..service.bench import fleet_bench_main, serve_main, service_bench_main
 
         sub = {
             "serve": serve_main,
             "service-bench": service_bench_main,
             "fleet-bench": fleet_bench_main,
-            "service-load-bench": load_bench_main,
             "drift-bench": drift_bench_main,
         }[argv[0]]
         return sub(argv[1:])

@@ -2,7 +2,9 @@
 
 A :class:`MissProfile` aggregates LBR windows keyed by the missing
 branch PC.  It keeps raw windows so the analysis can be re-run with
-different prefetch distances (the Fig 26 sweep) without re-simulating.
+different prefetch distances (the Fig 26 sweep) without re-simulating,
+and keeps them in arrival order too, which is the stream a profiled
+host would ship to the plan service.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class MissProfile:
     def __init__(self, app_name: str = "", input_label: str = ""):
         self.app_name = app_name
         self.input_label = input_label
+        # Every sample in the order it was added.
+        self.samples: List[MissSample] = []
         self._samples_by_pc: Dict[int, List[MissSample]] = defaultdict(list)
         # Execution count of each block across all sampled windows —
         # the "Total executed" column of Fig 13b.
@@ -41,9 +45,9 @@ class MissProfile:
 
     # ------------------------------------------------------------------
     def add_sample(self, miss_pc: int, miss_block: int, window: Window) -> None:
-        self._samples_by_pc[miss_pc].append(
-            MissSample(miss_pc=miss_pc, miss_block=miss_block, window=window)
-        )
+        sample = MissSample(miss_pc=miss_pc, miss_block=miss_block, window=window)
+        self.samples.append(sample)
+        self._samples_by_pc[miss_pc].append(sample)
         for block, _ in window:
             self.block_occurrences[block] += 1
         self.total_samples += 1
@@ -93,6 +97,7 @@ class MissProfile:
             )
         merged = MissProfile(self.app_name, label)
         for profile in (self, other):
+            merged.samples.extend(profile.samples)
             for pc, samples in profile._samples_by_pc.items():
                 merged._samples_by_pc[pc].extend(samples)
             merged.block_occurrences.update(profile.block_occurrences)
@@ -101,8 +106,9 @@ class MissProfile:
 
     def validate(self) -> None:
         """Raise ProfileError on internal inconsistency."""
-        total = sum(len(s) for s in self._samples_by_pc.values())
-        if total != self.total_samples:
+        by_pc = sum(len(s) for s in self._samples_by_pc.values())
+        if not by_pc == len(self.samples) == self.total_samples:
             raise ProfileError(
-                f"sample count mismatch: {total} != {self.total_samples}"
+                f"sample count mismatch: {by_pc} by PC, {len(self.samples)} "
+                f"in arrival order, {self.total_samples} counted"
             )

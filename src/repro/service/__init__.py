@@ -4,8 +4,7 @@ The online half of the Twig pipeline: streaming LBR miss-sample
 ingestion (:mod:`.ingest` over :mod:`.sketch` + :mod:`.reservoir`),
 incremental verified plan builds (:mod:`.build`), and the asyncio
 serving layer with bounded queues, deadlines, shedding, and graceful
-drain (:mod:`.server`).  :mod:`.bench` drives a synthetic fleet
-against it and pins online==offline plan parity.
+drain (:mod:`.server`).
 
 The scale-out layer (DESIGN.md §13) shards the service across worker
 *processes*: a seeded consistent-hash ring (:mod:`.ring`) places each
@@ -18,89 +17,11 @@ The durability layer (DESIGN.md §14) makes restarts survivable:
 periodic schema-versioned state snapshots (:mod:`.persist`) layered
 over the journal-as-WAL give ``PlanService.restore()`` a bounded
 replay, and the stdlib HTTP transport (:mod:`.http`) exposes
-ingest/serve/drain/health over a version-negotiated wire format that
-the :mod:`.bench` load harness drives against SLOs.
+ingest/serve/drain/health over a version-negotiated wire format.
+
+:mod:`.bench` holds the demo and stress runs behind the ``serve``,
+``service-bench`` and ``fleet-bench`` subcommands; they replay
+synthetic fleets against the service and pin online==offline plan
+parity.  This package imports none of its modules, so a process that
+needs only the server loads only the server.
 """
-
-from .build import (
-    IncrementalPlanBuilder,
-    PlanDiff,
-    PlanVersion,
-    diff_plans,
-    plan_sites,
-    plans_equivalent,
-)
-from .fleet import (
-    AllocationDecision,
-    Autoscaler,
-    FleetConfig,
-    FleetRouter,
-)
-from .ingest import (
-    IngestAck,
-    IngestBuffer,
-    SampleBatch,
-    ShardKey,
-    ShardState,
-)
-from .bench import (
-    LoadBenchConfig,
-    LoadBenchReport,
-    SLOConfig,
-    run_load,
-)
-from .http import (
-    WIRE_SCHEMA_VERSION,
-    HttpPlanServer,
-    PlanClient,
-)
-from .journal import IngestJournal, read_journal
-from .persist import (
-    PERSIST_SCHEMA_VERSION,
-    SnapshotStore,
-    apply_snapshot,
-    capture_snapshot,
-)
-from .reservoir import ReservoirSampler
-from .ring import HashRing
-from .ring import movement as ring_movement
-from .server import PlanService, ServiceConfig, default_workload_resolver
-from .sketch import CountMinSketch
-
-__all__ = [
-    "AllocationDecision",
-    "Autoscaler",
-    "CountMinSketch",
-    "FleetConfig",
-    "FleetRouter",
-    "HashRing",
-    "HttpPlanServer",
-    "IncrementalPlanBuilder",
-    "IngestAck",
-    "IngestBuffer",
-    "IngestJournal",
-    "LoadBenchConfig",
-    "LoadBenchReport",
-    "PERSIST_SCHEMA_VERSION",
-    "PlanClient",
-    "PlanDiff",
-    "PlanService",
-    "PlanVersion",
-    "ReservoirSampler",
-    "SLOConfig",
-    "SampleBatch",
-    "ServiceConfig",
-    "ShardKey",
-    "ShardState",
-    "SnapshotStore",
-    "WIRE_SCHEMA_VERSION",
-    "apply_snapshot",
-    "capture_snapshot",
-    "default_workload_resolver",
-    "diff_plans",
-    "plan_sites",
-    "plans_equivalent",
-    "read_journal",
-    "ring_movement",
-    "run_load",
-]

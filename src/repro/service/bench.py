@@ -22,56 +22,34 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import math
-import os
 import sys
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..bench.clock import now as wall_now
 from ..config import SimConfig, apps_from_env, int_from_env
 from ..core.twig import build_plan
 from ..errors import (
     DeadlineExceeded,
     ReproError,
     ServiceClosed,
-    ServiceError,
     ServiceOverload,
-    TransportError,
     WorkerCrashed,
 )
-from ..prefetchers.base import BaselineBTBSystem
-from ..profiling.lbr import LBRRecorder
+from ..profiling.collector import collect_profile
 from ..profiling.profile import MissProfile, MissSample
 from ..telemetry.events import TelemetrySink
 from ..trace.events import Trace
 from ..trace.walker import generate_trace
-from ..uarch.sim import FrontendSimulator
 from ..workloads.apps import app_names
 from ..workloads.cfg import Workload
 from ..workloads.rng import make_rng
-from .build import PlanVersion, plans_equivalent
+from .build import plans_equivalent
 from .fleet import FleetConfig as FleetPoolConfig
 from .fleet import FleetRouter
-from .http import HttpPlanServer, PlanClient
 from .server import PlanService, ServiceConfig, default_workload_resolver
-
-
-class _StreamingProfile(MissProfile):
-    """A MissProfile that also records global sample arrival order."""
-
-    def __init__(self, app_name: str = "", input_label: str = ""):
-        super().__init__(app_name, input_label)
-        self.stream: List[MissSample] = []
-
-    def add_sample(self, miss_pc, miss_block, window) -> None:
-        super().add_sample(miss_pc, miss_block, window)
-        self.stream.append(
-            MissSample(miss_pc=miss_pc, miss_block=miss_block, window=window)
-        )
 
 
 def collect_sample_stream(
@@ -81,23 +59,8 @@ def collect_sample_stream(
     sample_rate: int = 1,
 ) -> Tuple[MissProfile, Tuple[MissSample, ...]]:
     """Offline profile plus the arrival-ordered sample stream behind it."""
-    cfg = config if config is not None else SimConfig()
-    profile = _StreamingProfile(
-        app_name=workload.name, input_label=trace.label
-    )
-    recorder = LBRRecorder(profile, sample_rate=sample_rate)
-    sim = FrontendSimulator(
-        workload,
-        config=cfg,
-        btb_system=BaselineBTBSystem(cfg),
-        lbr_recorder=recorder,
-        # The LBR recorder needs the serial per-unit callbacks; pinned
-        # here so a global REPRO_SIM_MODE=fast never reaches this run.
-        mode="serial",
-    )
-    sim.run(trace, label=f"stream:{trace.label}")
-    profile.validate()
-    return profile, tuple(profile.stream)
+    profile = collect_profile(workload, trace, config, sample_rate=sample_rate)
+    return profile, tuple(profile.samples)
 
 
 # ----------------------------------------------------------------------
@@ -489,10 +452,6 @@ def run_fleet_sharded(
     site-for-site against the offline ``collect_profile → build_plan``
     result on the same samples.
     """
-    # Imported lazily: repro.bench.harness imports this module, so a
-    # top-level import of repro.bench.clock would be circular.
-    from ..bench.clock import now as wall_now
-
     resolver = default_workload_resolver()
     sim_cfg = SimConfig()
     report = FleetBenchReport()
@@ -678,154 +637,14 @@ def format_fleet_report(report: FleetBenchReport) -> str:
 
 
 # ----------------------------------------------------------------------
-# HTTP load harness: SLO bench over the wire transport
+# In-process crash (drift bench, recovery tests)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SLOConfig:
-    """Service-level objectives the load run is judged against."""
-
-    p50_ms: float = 500.0
-    p99_ms: float = 5_000.0
-    p999_ms: float = 10_000.0
-    max_shed_rate: float = 0.5
-    max_recovery_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        for name in ("p50_ms", "p99_ms", "p999_ms", "max_recovery_s"):
-            if getattr(self, name) <= 0:
-                raise ReproError(f"SLO {name} must be positive")
-        if not 0.0 <= self.max_shed_rate <= 1.0:
-            raise ReproError(
-                f"SLO max_shed_rate must be in [0, 1], got {self.max_shed_rate}"
-            )
-
-
-@dataclass(frozen=True)
-class LoadBenchConfig:
-    """One HTTP load-bench scenario.
-
-    The harness primes the service over the wire (full sample streams
-    per app), then drives ``clients`` synthetic clients requesting
-    plans at a seeded-Poisson ``arrival_rate_hz`` each, and finally —
-    unless disabled — simulates a crash (workers cancelled mid-air, no
-    drain) and times a snapshot+WAL recovery to first served plan.
-    """
-
-    apps: Tuple[str, ...] = ("wordpress",)
-    trace_instructions: int = 20_000
-    sample_rate: int = 1
-    batch_size: int = 64
-    clients: int = 8
-    requests_per_client: int = 25
-    arrival_rate_hz: float = 200.0  # per-client mean plan-request rate
-    deadline_ms: int = 2_000
-    queue_depth: int = 64
-    workers: int = 2
-    reservoir: int = 1 << 20
-    hot_threshold: int = 1
-    synthetic_delay_s: float = 0.0
-    snapshot_every: int = 8
-    measure_recovery: bool = True
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral
-    seed: int = 0
-    check_plans: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.apps:
-            raise ReproError("load bench needs at least one app")
-        unknown = sorted(set(self.apps) - set(app_names()))
-        if unknown:
-            raise ReproError(
-                f"load bench names unknown app(s) {unknown}; "
-                f"choose from {sorted(app_names())}"
-            )
-        if self.clients <= 0:
-            raise ReproError(f"clients must be positive, got {self.clients}")
-        if self.requests_per_client <= 0:
-            raise ReproError(
-                f"requests_per_client must be positive, "
-                f"got {self.requests_per_client}"
-            )
-        if self.arrival_rate_hz <= 0:
-            raise ReproError(
-                f"arrival_rate_hz must be positive, got {self.arrival_rate_hz}"
-            )
-
-
-@dataclass
-class LoadBenchReport:
-    """What one load run measured."""
-
-    apps: Dict[str, AppBenchResult] = field(default_factory=dict)
-    latencies_ms: List[float] = field(default_factory=list)
-    ok: int = 0
-    shed: int = 0
-    expired: int = 0
-    transport_errors: int = 0
-    ingest_batches: int = 0
-    ingest_retries: int = 0
-    ingest_samples: int = 0
-    recovery_measured: bool = False
-    recovery_s: Optional[float] = None
-    recovery_batches_replayed: int = 0
-    recovery_snapshot_loaded: bool = False
-    recovery_parity: Optional[bool] = None
-    stats: Dict = field(default_factory=dict)
-    wall_s: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return self.ok + self.shed + self.expired + self.transport_errors
-
-    @property
-    def shed_rate(self) -> float:
-        total = self.requests
-        return (self.shed / total) if total else 0.0
-
-    def percentile_ms(self, q: float) -> Optional[float]:
-        if not self.latencies_ms:
-            return None
-        ordered = sorted(self.latencies_ms)
-        idx = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-        return ordered[idx]
-
-
-def evaluate_slo(report: LoadBenchReport, slo: SLOConfig) -> Dict:
-    """Judge *report* against *slo*; unmeasured objectives pass vacuously."""
-    def entry(limit, actual, ok):
-        return {"limit": limit, "actual": actual, "ok": bool(ok)}
-
-    p50 = report.percentile_ms(0.50)
-    p99 = report.percentile_ms(0.99)
-    p999 = report.percentile_ms(0.999)
-    result = {
-        "p50_ms": entry(slo.p50_ms, p50, p50 is None or p50 <= slo.p50_ms),
-        "p99_ms": entry(slo.p99_ms, p99, p99 is None or p99 <= slo.p99_ms),
-        "p999_ms": entry(
-            slo.p999_ms, p999, p999 is None or p999 <= slo.p999_ms
-        ),
-        "shed_rate": entry(
-            slo.max_shed_rate,
-            report.shed_rate,
-            report.shed_rate <= slo.max_shed_rate,
-        ),
-        "recovery_s": entry(
-            slo.max_recovery_s,
-            report.recovery_s,
-            report.recovery_s is None or report.recovery_s <= slo.max_recovery_s,
-        ),
-    }
-    result["ok"] = all(v["ok"] for k, v in result.items() if k != "ok")
-    return result
-
-
 async def _abandon_service(service: PlanService) -> None:
     """Simulate a crash: cancel workers mid-air, skip the drain.
 
     In-memory state is lost exactly as a process kill would lose it;
     only what the WAL flushed and the snapshots persisted survives —
-    which is the point of the recovery measurement.
+    which is what a restore must recover from.
     """
     tasks = list(service._workers) + list(service._debounce.values())
     for task in tasks:
@@ -835,298 +654,6 @@ async def _abandon_service(service: PlanService) -> None:
     service._debounce.clear()
     if service.journal is not None:
         service.journal.close()
-
-
-async def _drive_load(
-    cfg: LoadBenchConfig,
-    slo: SLOConfig,
-    telemetry: Optional[TelemetrySink],
-    state_dir: str,
-) -> LoadBenchReport:
-    resolver = default_workload_resolver()
-    sim_cfg = SimConfig()
-    report = LoadBenchReport()
-
-    shards: Dict[str, Tuple[str, MissProfile, Tuple[MissSample, ...]]] = {}
-    for app in cfg.apps:
-        workload = resolver(app)
-        inp = workload.spec.make_input(0)
-        trace = generate_trace(
-            workload, inp, max_instructions=cfg.trace_instructions
-        )
-        profile, stream = collect_sample_stream(
-            workload, trace, sim_cfg, sample_rate=cfg.sample_rate
-        )
-        shards[app] = (trace.label, profile, stream)
-
-    service_config = ServiceConfig(
-        queue_depth=cfg.queue_depth,
-        deadline_ms=cfg.deadline_ms,
-        reservoir_capacity=cfg.reservoir,
-        hot_threshold=cfg.hot_threshold,
-        workers=cfg.workers,
-        debounce_s=0.0,
-        synthetic_delay_s=cfg.synthetic_delay_s,
-        seed=cfg.seed,
-        journal_path=os.path.join(state_dir, "journal.jsonl"),
-        snapshot_dir=os.path.join(state_dir, "snapshots"),
-        snapshot_every=cfg.snapshot_every,
-    )
-
-    def make_service() -> PlanService:
-        return PlanService(
-            workload_for=resolver,
-            config=service_config,
-            sim_config=sim_cfg,
-            check_plans=cfg.check_plans,
-            telemetry=telemetry,
-        )
-
-    loop = asyncio.get_running_loop()
-    t0 = loop.time()
-    service = make_service()
-    await service.start()
-    server = await HttpPlanServer(service, cfg.host, cfg.port).start()
-
-    # --- Prime phase: full sample streams in, one served plan per app,
-    # all over the wire.
-    primed: Dict[str, PlanVersion] = {}
-    prime = PlanClient(cfg.host, server.port)
-    for app, (label, _profile, stream) in shards.items():
-        batches = 0
-        retries = 0
-        for seq, start in enumerate(range(0, len(stream), cfg.batch_size)):
-            chunk = stream[start : start + cfg.batch_size]
-            while True:
-                try:
-                    await prime.ingest(
-                        app, label, chunk, seq=seq, deadline_ms=60_000
-                    )
-                    batches += 1
-                    break
-                except (ServiceOverload, DeadlineExceeded):
-                    retries += 1
-                    await asyncio.sleep(0.002)
-        version = await prime.get_plan(app, label, deadline_ms=60_000)
-        primed[app] = version
-        report.ingest_batches += batches
-        report.ingest_retries += retries
-        report.ingest_samples += len(stream)
-        report.apps[app] = AppBenchResult(
-            app=app,
-            input_label=label,
-            stream_samples=len(stream),
-            batches=batches,
-            ingest_retries=retries,
-            served_version=version.version,
-            served_sites=version.plan.total_prefetch_entries(),
-            parity=None,
-        )
-
-    # --- Load phase: many synthetic clients, seeded-Poisson arrivals.
-    app_order = sorted(shards)
-
-    async def load_client(idx: int) -> None:
-        rng = make_rng("service-load-client", idx, cfg.seed)
-        client = PlanClient(cfg.host, server.port)
-        for i in range(cfg.requests_per_client):
-            await asyncio.sleep(rng.expovariate(cfg.arrival_rate_hz))
-            app = app_order[(idx + i) % len(app_order)]
-            label = shards[app][0]
-            sent = loop.time()
-            try:
-                await client.get_plan(app, label, deadline_ms=cfg.deadline_ms)
-            except ServiceOverload:
-                report.shed += 1
-            except DeadlineExceeded:
-                report.expired += 1
-            except (TransportError, ServiceError):
-                report.transport_errors += 1
-            else:
-                report.ok += 1
-                report.latencies_ms.append((loop.time() - sent) * 1000.0)
-
-    await asyncio.gather(
-        *(load_client(i) for i in range(cfg.clients))
-    )
-    report.stats = service.stats_snapshot()
-    await server.stop()
-
-    # --- Recovery phase: crash, then time snapshot + WAL replay to the
-    # first plan served over a fresh transport.
-    if cfg.measure_recovery:
-        await _abandon_service(service)
-        report.recovery_measured = True
-        t_rec = loop.time()
-        revived = make_service()
-        restore_report = revived.restore()
-        await revived.start()
-        server2 = await HttpPlanServer(revived, cfg.host, 0).start()
-        client2 = PlanClient(cfg.host, server2.port)
-        parity = True
-        for app, (label, _profile, _stream) in shards.items():
-            version = await client2.get_plan(app, label, deadline_ms=60_000)
-            if not plans_equivalent(version.plan, primed[app].plan):
-                parity = False
-        report.recovery_s = loop.time() - t_rec
-        report.recovery_batches_replayed = restore_report["batches_replayed"]
-        report.recovery_snapshot_loaded = restore_report["snapshot_loaded"]
-        report.recovery_parity = parity
-        await server2.stop()
-        await revived.stop()
-    else:
-        await service.stop()
-
-    report.wall_s = loop.time() - t0
-    return report
-
-
-def run_load(
-    cfg: LoadBenchConfig,
-    slo: Optional[SLOConfig] = None,
-    telemetry: Optional[TelemetrySink] = None,
-    state_dir: Optional[str] = None,
-) -> LoadBenchReport:
-    """Run one HTTP load scenario to completion (creates its own loop).
-
-    *state_dir* holds the WAL and snapshots; a temporary directory is
-    used (and cleaned up) when none is given.
-    """
-    slo = slo if slo is not None else SLOConfig()
-    if state_dir is not None:
-        return asyncio.run(_drive_load(cfg, slo, telemetry, state_dir))
-    with tempfile.TemporaryDirectory(prefix="repro-load-bench-") as tmp:
-        return asyncio.run(_drive_load(cfg, slo, telemetry, tmp))
-
-
-def load_report_to_dict(
-    report: LoadBenchReport, cfg: LoadBenchConfig, slo: SLOConfig
-) -> Dict:
-    """Schema-versioned ``BENCH_service.json`` payload."""
-    # Imported lazily: repro.bench.harness imports this module, so a
-    # top-level import of repro.bench.schema would be circular.
-    from ..bench.schema import SERVICE_BENCH_SCHEMA_VERSION
-
-    latencies = sorted(report.latencies_ms)
-    return {
-        "format": SERVICE_BENCH_SCHEMA_VERSION,
-        "schema_version": SERVICE_BENCH_SCHEMA_VERSION,
-        "kind": "service_bench",
-        "settings": {
-            "apps": list(cfg.apps),
-            "clients": cfg.clients,
-            "requests_per_client": cfg.requests_per_client,
-            "arrival_rate_hz": cfg.arrival_rate_hz,
-            "deadline_ms": cfg.deadline_ms,
-            "queue_depth": cfg.queue_depth,
-            "workers": cfg.workers,
-            "trace_instructions": cfg.trace_instructions,
-            "seed": cfg.seed,
-        },
-        "latency_ms": {
-            "count": len(latencies),
-            "p50": report.percentile_ms(0.50),
-            "p99": report.percentile_ms(0.99),
-            "p999": report.percentile_ms(0.999),
-            "mean": (sum(latencies) / len(latencies)) if latencies else None,
-            "max": latencies[-1] if latencies else None,
-        },
-        "outcomes": {
-            "ok": report.ok,
-            "shed": report.shed,
-            "expired": report.expired,
-            "transport_error": report.transport_errors,
-            "shed_rate": report.shed_rate,
-        },
-        "ingest": {
-            "batches": report.ingest_batches,
-            "retries": report.ingest_retries,
-            "samples": report.ingest_samples,
-        },
-        "recovery": {
-            "measured": report.recovery_measured,
-            "time_s": report.recovery_s,
-            "batches_replayed": report.recovery_batches_replayed,
-            "snapshot_loaded": report.recovery_snapshot_loaded,
-            "parity": report.recovery_parity,
-        },
-        "slo": evaluate_slo(report, slo),
-        "wall_s": report.wall_s,
-    }
-
-
-def save_load_report(data: Dict, path: str) -> None:
-    """Validate and atomically write a ``BENCH_service.json`` payload."""
-    from ..bench.schema import validate_service_bench_dict
-
-    validate_service_bench_dict(data)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def format_load_report(report: LoadBenchReport, slo_result: Dict) -> str:
-    lines: List[str] = []
-    out = lines.append
-    out("service load bench report (HTTP transport)")
-    out("===========================================")
-    out("")
-    out("per-shard (primed over the wire)")
-    for app in sorted(report.apps):
-        r = report.apps[app]
-        out(
-            f"  {app:16s} samples={r.stream_samples:<6d} "
-            f"batches={r.batches:<4d} retries={r.ingest_retries:<4d} "
-            f"plan v{r.served_version} sites={r.served_sites}"
-        )
-    out("")
-
-    def fmt_ms(value: Optional[float]) -> str:
-        return "n/a" if value is None else f"{value:.1f}ms"
-
-    out(
-        f"serve latency ({report.ok} ok): "
-        f"p50={fmt_ms(report.percentile_ms(0.50))} "
-        f"p99={fmt_ms(report.percentile_ms(0.99))} "
-        f"p999={fmt_ms(report.percentile_ms(0.999))}"
-    )
-    out(
-        f"outcomes: {report.ok} ok, {report.shed} shed "
-        f"(rate {report.shed_rate:.1%}), {report.expired} expired, "
-        f"{report.transport_errors} transport error(s)"
-    )
-    if report.recovery_measured:
-        parity = (
-            "n/a"
-            if report.recovery_parity is None
-            else ("OK" if report.recovery_parity else "MISMATCH")
-        )
-        out(
-            f"recovery: {report.recovery_s:.2f}s to first served plan "
-            f"(snapshot={'yes' if report.recovery_snapshot_loaded else 'no'}, "
-            f"{report.recovery_batches_replayed} batch(es) replayed, "
-            f"parity={parity})"
-        )
-    for name in ("p50_ms", "p99_ms", "p999_ms", "shed_rate", "recovery_s"):
-        objective = slo_result[name]
-        actual = objective["actual"]
-        shown = "n/a" if actual is None else f"{actual:.3f}"
-        out(
-            f"slo {name:12s} limit={objective['limit']:<10g} "
-            f"actual={shown:<10s} {'OK' if objective['ok'] else 'VIOLATED'}"
-        )
-    out(f"slo overall: {'OK' if slo_result['ok'] else 'VIOLATED'}")
-    out(f"wall: {report.wall_s:.2f}s")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -1174,8 +701,21 @@ def _resolve_apps(raw: Optional[str]) -> Tuple[str, ...]:
     return ("wordpress", "drupal")
 
 
-def _make_sink(path: Optional[str]) -> Optional[TelemetrySink]:
-    return TelemetrySink(path) if path else None
+def _run_fleet_logged(cfg: FleetConfig, telemetry_path: Optional[str]) -> BenchReport:
+    """:func:`run_fleet`, logging to *telemetry_path* when given.
+
+    The log is closed however the run ends; only a finished run
+    appends the summary event.
+    """
+    sink = TelemetrySink(telemetry_path) if telemetry_path else None
+    try:
+        report = run_fleet(cfg, telemetry=sink)
+        if sink is not None:
+            sink.emit_summary()
+        return report
+    finally:
+        if sink is not None:
+            sink.close()
 
 
 def service_bench_main(argv=None) -> int:
@@ -1251,14 +791,10 @@ def service_bench_main(argv=None) -> int:
             check_parity=not args.no_check_parity,
             check_plans=not args.no_check_plans,
         )
-        sink = _make_sink(args.telemetry)
-        report = run_fleet(cfg, telemetry=sink)
+        report = _run_fleet_logged(cfg, args.telemetry)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if sink is not None:
-        sink.emit_summary()
-        sink.close()
     print(format_bench_report(report))
     if cfg.check_parity and report.parity_ok is False:
         print("error: served plans diverged from the offline pipeline",
@@ -1341,14 +877,10 @@ def serve_main(argv=None) -> int:
             check_parity=True,
             check_plans=not args.no_check_plans,
         )
-        sink = _make_sink(args.telemetry)
-        report = run_fleet(cfg, telemetry=sink)
+        report = _run_fleet_logged(cfg, args.telemetry)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if sink is not None:
-        sink.emit_summary()
-        sink.close()
     print(format_bench_report(report))
     return 0 if report.parity_ok is not False and report.drained_clean else 1
 
@@ -1493,143 +1025,5 @@ def fleet_bench_main(argv=None) -> int:
             "error: --rebalance-after was set but no rebalance ran",
             file=sys.stderr,
         )
-        return 1
-    return 0
-
-
-def load_bench_main(argv=None) -> int:
-    """``service-load-bench``: SLO load harness over the HTTP transport."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments service-load-bench",
-        description="Drive synthetic HTTP clients against the plan service "
-        "at a seeded arrival rate, report p50/p99/p999 serve latency, shed "
-        "rate, and crash-recovery time against an SLO config, and emit a "
-        "schema-versioned BENCH_service.json.",
-    )
-    _add_common_args(parser)
-    parser.add_argument(
-        "--clients", type=int, default=8, help="synthetic plan-request clients"
-    )
-    parser.add_argument(
-        "--requests", type=int, default=25, help="requests per client"
-    )
-    parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=200.0,
-        metavar="HZ",
-        help="per-client mean request rate (seeded Poisson arrivals)",
-    )
-    parser.add_argument(
-        "--synthetic-delay-ms",
-        type=int,
-        default=0,
-        help="artificial per-request latency, to provoke shedding",
-    )
-    parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=8,
-        help="snapshot cadence in ingested batches",
-    )
-    parser.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for the WAL and snapshots (default: a temp dir)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the schema-versioned report JSON here "
-        "(e.g. BENCH_service.json)",
-    )
-    parser.add_argument(
-        "--no-recovery",
-        action="store_true",
-        help="skip the simulated crash + timed recovery phase",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="preset: one app, short trace, few clients — for CI",
-    )
-    parser.add_argument(
-        "--enforce-slo",
-        action="store_true",
-        help="exit nonzero when any SLO objective is violated",
-    )
-    parser.add_argument("--slo-p50-ms", type=float, default=500.0)
-    parser.add_argument("--slo-p99-ms", type=float, default=5000.0)
-    parser.add_argument("--slo-p999-ms", type=float, default=10000.0)
-    parser.add_argument("--slo-max-shed-rate", type=float, default=0.5)
-    parser.add_argument("--slo-max-recovery-s", type=float, default=60.0)
-    args = parser.parse_args(argv)
-
-    apps = _resolve_apps(args.apps)
-    trace_instructions = (
-        args.trace_instructions
-        if args.trace_instructions is not None
-        else int_from_env("REPRO_TRACE_INSTRUCTIONS", 20_000)
-    )
-    clients = args.clients
-    requests = args.requests
-    if args.smoke:
-        apps = apps[:1]
-        trace_instructions = min(trace_instructions, 4_000)
-        clients = min(clients, 4)
-        requests = min(requests, 10)
-
-    try:
-        cfg = LoadBenchConfig(
-            apps=apps,
-            trace_instructions=trace_instructions,
-            batch_size=args.batch_size,
-            clients=clients,
-            requests_per_client=requests,
-            arrival_rate_hz=args.arrival_rate,
-            deadline_ms=args.deadline_ms,
-            queue_depth=args.queue_depth,
-            workers=args.workers,
-            reservoir=args.reservoir,
-            hot_threshold=args.hot_threshold,
-            synthetic_delay_s=args.synthetic_delay_ms / 1000.0,
-            snapshot_every=args.snapshot_every,
-            measure_recovery=not args.no_recovery,
-            seed=args.seed,
-            check_plans=not args.no_check_plans,
-        )
-        slo = SLOConfig(
-            p50_ms=args.slo_p50_ms,
-            p99_ms=args.slo_p99_ms,
-            p999_ms=args.slo_p999_ms,
-            max_shed_rate=args.slo_max_shed_rate,
-            max_recovery_s=args.slo_max_recovery_s,
-        )
-        sink = _make_sink(args.telemetry)
-        report = run_load(
-            cfg, slo=slo, telemetry=sink, state_dir=args.state_dir
-        )
-        data = load_report_to_dict(report, cfg, slo)
-        if args.out:
-            save_load_report(data, args.out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if sink is not None:
-        sink.emit_summary()
-        sink.close()
-    print(format_load_report(report, data["slo"]))
-    if args.out:
-        print(f"report: {args.out}")
-    if report.recovery_measured and report.recovery_parity is False:
-        print(
-            "error: recovered plans diverged from the pre-crash plans",
-            file=sys.stderr,
-        )
-        return 1
-    if args.enforce_slo and not data["slo"]["ok"]:
-        print("error: SLO violated (see objectives above)", file=sys.stderr)
         return 1
     return 0

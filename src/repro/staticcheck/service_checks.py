@@ -6,8 +6,11 @@ ordering, lock ownership of shared shard state, snapshot field
 coverage, typed errors on the wire — all span files.  This module
 builds the shared :class:`ServiceIndex` those rules run against:
 
-* a class/function index over ``repro/service/`` (plus
-  ``experiments/parallel.py``), including nested defs;
+* a class/function index over ``repro/service/`` and ``repro/drift/``
+  (plus ``experiments/parallel.py``, and ``profiling/serialize.py``,
+  whose ``write_json_atomic`` is how ``SnapshotStore.write`` opens and
+  writes a snapshot: without it that chain is unresolved, so a snapshot
+  write on the event loop would pass A101), including nested defs;
 * attribute and local type resolution (annotations like
   ``self.journal: Optional[IngestJournal]``, constructor assignments,
   parameter annotations) good enough to resolve ``self.attr.method()``
@@ -62,7 +65,10 @@ _SERVICE_DIR = "repro/service/"
 # serving-truth active version and its state rides in the service
 # snapshot, so the same loop/lock/persistence rules apply.
 _DRIFT_DIR = "repro/drift/"
-_EXTRA_SCOPE_SUFFIXES = ("repro/experiments/parallel.py",)
+_EXTRA_SCOPE_SUFFIXES = (
+    "repro/experiments/parallel.py",
+    "repro/profiling/serialize.py",
+)
 _ERRORS_SUFFIX = "repro/errors.py"
 
 # Lock-ownership map for A103.  Key: (module suffix, class name);

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.drift import bench as drift_bench
 from repro.experiments.__main__ import main
+from repro.service import bench as service_bench
+from repro.telemetry.events import TelemetrySink
 
 
 class TestCLI:
@@ -113,3 +116,32 @@ class TestServiceCLI:
     def test_service_bench_rejects_unknown_app(self, capsys):
         assert main(["service-bench", "--apps", "nosuchapp"]) == 2
         assert "unknown app" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--apps", "wordpress", "--trace-instructions", "3000",
+             "--queue-depth", "0"],
+            ["service-bench", "--apps", "wordpress", "--trace-instructions",
+             "3000", "--queue-depth", "0"],
+            ["drift-bench", "--smoke", "--window", "0"],
+        ],
+        ids=["serve", "service-bench", "drift-bench"],
+    )
+    def test_failed_run_closes_its_telemetry_log(
+        self, argv, monkeypatch, tmp_path, capsys
+    ):
+        opened = []
+
+        class RecordingSink(TelemetrySink):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(service_bench, "TelemetrySink", RecordingSink)
+        monkeypatch.setattr(drift_bench, "TelemetrySink", RecordingSink)
+        log = tmp_path / "service.jsonl"
+        assert main(argv + ["--telemetry", str(log)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert len(opened) == 1
+        assert opened[0]._fh.closed

@@ -4,9 +4,11 @@ import pytest
 
 from repro.config import SimConfig
 from repro.errors import ProfileError
+from repro.profiling import collector
 from repro.profiling.collector import collect_profile
 from repro.profiling.lbr import LBRRecorder
 from repro.profiling.profile import MissProfile
+from repro.service.bench import collect_sample_stream
 
 
 class TestLBRRecorder:
@@ -119,6 +121,23 @@ class TestMissProfile:
         prof.add_sample(0xA, 1, ())
         assert len(prof) == 1
 
+    def test_samples_keep_arrival_order(self):
+        a, b = MissProfile("x", "0"), MissProfile("x", "0")
+        for pc in (0xB, 0xA, 0xB):
+            a.add_sample(pc, 1, ())
+        b.add_sample(0xC, 2, ())
+        assert [s.miss_pc for s in a.samples] == [0xB, 0xA, 0xB]
+        merged = a.merge(b)
+        assert [s.miss_pc for s in merged.samples] == [0xB, 0xA, 0xB, 0xC]
+        merged.validate()
+
+    def test_validate_detects_lost_arrival_order(self):
+        prof = MissProfile()
+        prof.add_sample(0xA, 1, ((1, 30.0),))
+        prof.samples.clear()
+        with pytest.raises(ProfileError):
+            prof.validate()
+
 
 class TestCollector:
     def test_collect_on_tiny_workload(self, tiny_workload, tiny_trace):
@@ -145,3 +164,23 @@ class TestCollector:
             assert all(lead >= 0 for lead in leads)
             # Oldest-first: leads decrease monotonically.
             assert all(a >= b for a, b in zip(leads, leads[1:]))
+
+    @pytest.mark.parametrize("sample_rate", [1, 3])
+    def test_sample_stream_is_the_order_the_recorder_saw(
+        self, monkeypatch, tiny_workload, tiny_trace, sample_rate
+    ):
+        seen = []
+
+        class SpyRecorder(LBRRecorder):
+            def on_miss(self, pc, block, cycle):
+                seen.append((pc, block))
+                super().on_miss(pc, block, cycle)
+
+        monkeypatch.setattr(collector, "LBRRecorder", SpyRecorder)
+        profile, stream = collect_sample_stream(
+            tiny_workload, tiny_trace, SimConfig(), sample_rate=sample_rate
+        )
+        sampled = seen[sample_rate - 1 :: sample_rate]
+        assert sampled, "tiny trace must produce BTB misses"
+        assert [(s.miss_pc, s.miss_block) for s in stream] == sampled
+        assert len(profile) == len(stream)

@@ -6,9 +6,13 @@ test function.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.config import SimConfig
 from repro.core.plan import BRPREFETCH_BYTES, OP_PREFETCH, InjectionOp
 from repro.core.twig import build_plan
@@ -344,3 +348,23 @@ class TestVersioning:
         ) + len(diff_plans(v1.plan, v2.plan).retargeted)
         offline = build_plan(tiny_workload, profile, CFG)
         assert plans_equivalent(v2.plan, offline)
+
+
+def test_plan_server_imports_no_bench_fleet_or_ring():
+    # The package inits import nothing, so a process that only serves
+    # plans never pays for service.bench, the fleet or the ring.
+    probe = (
+        "import sys\n"
+        "import repro.bench.suite.server, repro.service.server, "
+        "repro.service.http\n"
+        "unwanted = ('repro.service.bench', 'repro.service.fleet', "
+        "'repro.service.ring')\n"
+        "print(sorted(m for m in unwanted if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

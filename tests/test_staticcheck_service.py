@@ -31,7 +31,10 @@ SRC_ROOT = Path(repro.__file__).resolve().parent  # src/repro
 
 def _closure_files():
     """Real-source relpaths the layer-3 closure lints together."""
-    rels = ["errors.py", "experiments/parallel.py"]
+    # profiling/serialize.py holds write_json_atomic, the file write
+    # behind SnapshotStore.write; without it A101 cannot see that a
+    # snapshot write blocks.
+    rels = ["errors.py", "experiments/parallel.py", "profiling/serialize.py"]
     rels += sorted(
         f"service/{p.name}" for p in (SRC_ROOT / "service").glob("*.py")
     )
@@ -100,6 +103,18 @@ class TestMutationSuite:
             "    async def _serve_plan(self, key: ShardKey) -> PlanVersion:\n"
             "        time.sleep(0.001)\n"
             "        shard = self.buffer.get(key)\n",
+            "A101",
+        )
+
+    def test_unsuppressed_snapshot_write_is_a101(self, tmp_path):
+        # The chain runs SnapshotStore.write -> write_json_atomic ->
+        # open(), across into profiling/serialize.py.
+        self.check(
+            tmp_path,
+            "service/server.py",
+            "            self._write_snapshot()  # staticcheck: disable=A101 "
+            "(drain-time snapshot, no requests in flight)\n",
+            "            self._write_snapshot()\n",
             "A101",
         )
 
