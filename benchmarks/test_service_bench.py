@@ -15,8 +15,15 @@ scenarios:
   growing the queue past its bound or failing to drain.
 """
 
+from dataclasses import replace
+
 from repro.experiments.report import save_result
-from repro.service.bench import FleetConfig, format_bench_report, run_fleet
+from repro.service.bench import (
+    LOSSLESS,
+    Scenario,
+    format_service_report,
+    run_service,
+)
 
 
 def _report_rows(report):
@@ -31,16 +38,14 @@ def _report_rows(report):
 
 
 def test_service_steady(benchmark):
-    cfg = FleetConfig(
-        apps=("wordpress", "drupal"),
-        trace_instructions=20_000,
-        debounce_s=30.0,
-    )
+    scenario = Scenario(apps=("wordpress", "drupal"), trace_instructions=20_000)
+    config = replace(LOSSLESS, debounce_s=30.0)
     report = benchmark.pedantic(
-        lambda: run_fleet(cfg), rounds=1, iterations=1, warmup_rounds=0
+        lambda: run_service(scenario, config),
+        rounds=1, iterations=1, warmup_rounds=0,
     )
     print()
-    print(format_bench_report(report))
+    print(format_service_report(report))
     assert report.parity_ok is True
     assert report.drained_clean
     save_result(
@@ -50,25 +55,26 @@ def test_service_steady(benchmark):
 
 
 def test_service_overload(benchmark):
-    cfg = FleetConfig(
-        apps=("wordpress",),
-        trace_instructions=20_000,
+    scenario = Scenario(apps=("wordpress",), trace_instructions=20_000)
+    config = replace(
+        LOSSLESS,
         queue_depth=4,
         workers=1,
         debounce_s=30.0,
         synthetic_delay_s=0.02,
-        load_clients=24,
-        requests_per_client=8,
-        load_deadline_ms=100,
     )
     report = benchmark.pedantic(
-        lambda: run_fleet(cfg), rounds=1, iterations=1, warmup_rounds=0
+        lambda: run_service(
+            scenario, config,
+            load_clients=24, load_deadline_ms=100,
+        ),
+        rounds=1, iterations=1, warmup_rounds=0,
     )
     print()
-    print(format_bench_report(report))
+    print(format_service_report(report))
     assert report.parity_ok is True
     assert report.sheds > 0, "over-capacity load must shed"
-    assert report.max_queue_depth <= cfg.queue_depth
+    assert report.max_queue_depth <= config.queue_depth
     assert report.drained_clean
     save_result(
         "service_overload",

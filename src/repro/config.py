@@ -78,22 +78,6 @@ def int_from_env(name: str, default: int) -> int:
     return value
 
 
-def float_from_env(name: str, default: float, lo: float, hi: float) -> float:
-    """Read a float knob bounded to ``[lo, hi]``; reject garbage loudly."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
-    if not (lo <= value <= hi):
-        raise ConfigError(
-            f"{name} must be in [{lo}, {hi}], got {value}"
-        )
-    return value
-
-
 def jobs_from_env() -> Optional[int]:
     """Parallel worker count from ``REPRO_JOBS``, or ``None`` when unset.
 
@@ -161,191 +145,6 @@ def check_plans_from_env() -> bool:
     ``--check-plans`` so parallel workers inherit it.
     """
     return bool_from_env("REPRO_CHECK_PLANS")
-
-
-def service_queue_depth_from_env() -> int:
-    """Plan-service request-queue bound from ``REPRO_SERVICE_QUEUE_DEPTH``.
-
-    Requests beyond this bound are shed (``ServiceOverload``) rather
-    than buffered, so the knob is the service's backpressure valve.
-    """
-    return int_from_env("REPRO_SERVICE_QUEUE_DEPTH", 64)
-
-
-def service_deadline_ms_from_env() -> int:
-    """Per-request deadline in milliseconds from ``REPRO_SERVICE_DEADLINE_MS``.
-
-    Covers queue wait plus processing; an expired request fails with
-    ``DeadlineExceeded`` and is skipped if still queued.
-    """
-    return int_from_env("REPRO_SERVICE_DEADLINE_MS", 2000)
-
-
-def service_reservoir_from_env() -> int:
-    """Per-shard reservoir capacity from ``REPRO_SERVICE_RESERVOIR``.
-
-    The plan service folds an unbounded LBR sample stream into at most
-    this many retained samples per (app, input) shard.  Sized at or
-    above the stream length, the fold is lossless and served plans
-    match the offline pipeline exactly (the parity tests pin this).
-    """
-    return int_from_env("REPRO_SERVICE_RESERVOIR", 8192)
-
-
-def fleet_workers_from_env() -> int:
-    """Initial fleet worker-process count from ``REPRO_FLEET_WORKERS``.
-
-    The sharded plan service (``repro.service.fleet``) spawns this many
-    worker processes at start; the autoscaler may grow or shrink the
-    pool afterwards within its configured bounds.
-    """
-    return int_from_env("REPRO_FLEET_WORKERS", 2)
-
-
-def fleet_replicas_from_env() -> int:
-    """Shard replication factor from ``REPRO_FLEET_REPLICAS``.
-
-    Every ``(app, input)`` shard is folded on this many distinct
-    workers (primary plus hot spares); the hash ring guarantees
-    replicas never co-locate while the fleet has enough members.
-    """
-    return int_from_env("REPRO_FLEET_REPLICAS", 1)
-
-
-def fleet_autoscale_from_env() -> bool:
-    """Fleet autoscaler toggle from ``REPRO_FLEET_AUTOSCALE``.
-
-    When on, every ``autoscale_tick`` may grow or shrink the worker
-    pool from live telemetry (queue depth, shed rate, build latency);
-    when off, ticks still record a ``hold`` allocation decision so the
-    JSONL decision log stays a complete account of the run.
-    """
-    return bool_from_env("REPRO_FLEET_AUTOSCALE")
-
-
-def service_snapshot_dir_from_env() -> Optional[str]:
-    """Snapshot directory from ``REPRO_SERVICE_SNAPSHOT_DIR``, or ``None``.
-
-    When set, the plan service periodically persists its per-shard
-    ingest state (sketch counters, reservoir contents and RNG state,
-    published plan lineage) here, and ``PlanService.restore`` reloads
-    the latest valid snapshot on restart.  Unset disables snapshotting.
-    """
-    return os.environ.get("REPRO_SERVICE_SNAPSHOT_DIR", "").strip() or None
-
-
-def service_snapshot_every_from_env() -> int:
-    """Snapshot cadence in journaled batches (``REPRO_SERVICE_SNAPSHOT_EVERY``).
-
-    A snapshot is written after every N ingested batches (and always at
-    drain).  Lower values shorten journal replay on recovery at the
-    cost of more frequent snapshot writes.
-    """
-    return int_from_env("REPRO_SERVICE_SNAPSHOT_EVERY", 16)
-
-
-def service_journal_from_env() -> Optional[str]:
-    """Service WAL mirror path from ``REPRO_SERVICE_JOURNAL``, or ``None``.
-
-    When set, every accepted ingest batch is appended to this JSONL
-    write-ahead log before it is folded; recovery replays the suffix
-    past the latest snapshot.  Unset keeps the journal in memory only
-    (no crash durability).
-    """
-    return os.environ.get("REPRO_SERVICE_JOURNAL", "").strip() or None
-
-
-def service_fsync_from_env() -> bool:
-    """Journal fsync toggle from ``REPRO_SERVICE_FSYNC``.
-
-    Off (the default), each journaled record is flushed to the OS —
-    surviving a process crash; on, each record is also fsynced to
-    stable storage — surviving a machine crash, at a per-batch cost.
-    """
-    return bool_from_env("REPRO_SERVICE_FSYNC")
-
-
-def service_http_host_from_env() -> str:
-    """HTTP transport bind host from ``REPRO_SERVICE_HTTP_HOST``."""
-    return os.environ.get("REPRO_SERVICE_HTTP_HOST", "").strip() or "127.0.0.1"
-
-
-def service_http_port_from_env() -> int:
-    """HTTP transport bind port from ``REPRO_SERVICE_HTTP_PORT``.
-
-    Port ``0`` (the default) asks the OS for an ephemeral port; the
-    server reports the bound port after startup.  Unlike most integer
-    knobs this one therefore accepts zero.
-    """
-    raw = os.environ.get("REPRO_SERVICE_HTTP_PORT")
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_SERVICE_HTTP_PORT must be an integer port, got {raw!r}"
-        ) from None
-    if value < 0 or value > 65535:
-        raise ConfigError(
-            f"REPRO_SERVICE_HTTP_PORT must be in [0, 65535], got {value}"
-        )
-    return value
-
-
-def drift_canary_from_env() -> bool:
-    """Canary-stage toggle from ``REPRO_DRIFT_CANARY``.
-
-    When on, a freshly built :class:`~repro.service.build.PlanVersion`
-    for a shard that already serves a plan is *staged* rather than
-    activated: post-publish miss feedback is scored against both the
-    candidate and the live baseline on a deterministic traffic split,
-    and the candidate promotes or auto-rolls-back on the windowed
-    verdict.  Off (the default), every build activates immediately —
-    the pre-drift behaviour the parity suites pin.
-    """
-    return bool_from_env("REPRO_DRIFT_CANARY")
-
-
-def drift_canary_fraction_from_env() -> float:
-    """Canary traffic fraction from ``REPRO_DRIFT_CANARY_FRACTION``.
-
-    The deterministic share of post-publish feedback samples scored
-    against the canaried candidate (the rest score against the live
-    baseline).  Seeded hashing makes the split a pure function of the
-    sample and its arrival index, so verdicts are reproducible.
-    """
-    return float_from_env("REPRO_DRIFT_CANARY_FRACTION", 0.5, 0.01, 0.99)
-
-
-def drift_window_from_env() -> int:
-    """Feedback-window size in samples from ``REPRO_DRIFT_WINDOW``.
-
-    Per-arm effectiveness (covered-miss fraction, prefetch-hit proxy)
-    is aggregated over windows of this many scored samples; a window
-    closes when full and feeds the regression detector.
-    """
-    return int_from_env("REPRO_DRIFT_WINDOW", 64)
-
-
-def drift_windows_from_env() -> int:
-    """Closed windows per arm before a verdict (``REPRO_DRIFT_WINDOWS``).
-
-    The canary controller withholds judgement until both the candidate
-    and baseline arms have closed this many feedback windows since
-    staging, so one unlucky window cannot roll a healthy plan back.
-    """
-    return int_from_env("REPRO_DRIFT_WINDOWS", 2)
-
-
-def drift_threshold_from_env() -> float:
-    """Regression threshold from ``REPRO_DRIFT_THRESHOLD``.
-
-    A staged candidate rolls back when its mean windowed effectiveness
-    trails the baseline's by more than this absolute margin; otherwise
-    it promotes.  Small values react faster but amplify sampling noise.
-    """
-    return float_from_env("REPRO_DRIFT_THRESHOLD", 0.1, 0.0, 1.0)
 
 
 def sim_mode_from_env() -> str:

@@ -21,13 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..config import (
-    drift_canary_fraction_from_env,
-    drift_canary_from_env,
-    drift_threshold_from_env,
-    drift_window_from_env,
-    drift_windows_from_env,
-)
 from ..errors import DriftError
 from ..profiling.profile import MissSample
 from ..service.build import PlanVersion
@@ -53,7 +46,7 @@ EVENT_ROLLED_BACK = "rolled_back"
 
 @dataclass(frozen=True)
 class CanarySettings:
-    """Canary policy knobs, environment-backed like ServiceConfig.
+    """Canary policy knobs.
 
     ``enabled`` gates the whole stage: when off, every published
     version activates immediately and feedback only feeds the
@@ -65,11 +58,11 @@ class CanarySettings:
     ``seed`` salts both the traffic split and the detector.
     """
 
-    enabled: bool = field(default_factory=drift_canary_from_env)
-    fraction: float = field(default_factory=drift_canary_fraction_from_env)
-    window: int = field(default_factory=drift_window_from_env)
-    windows: int = field(default_factory=drift_windows_from_env)
-    threshold: float = field(default_factory=drift_threshold_from_env)
+    enabled: bool = False
+    fraction: float = 0.5
+    window: int = 64
+    windows: int = 2
+    threshold: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -10,10 +10,6 @@ Usage::
     REPRO_APPS=cassandra,wordpress python -m repro.experiments fig03
     python -m repro.experiments --telemetry run.jsonl fig16 # telemetry log
     python -m repro.experiments telemetry-report run.jsonl  # summarize it
-    python -m repro.experiments serve --apps wordpress      # plan service demo
-    python -m repro.experiments service-bench --overload    # stress the service
-    python -m repro.experiments fleet-bench --chaos         # sharded fleet chaos
-    python -m repro.experiments drift-bench --smoke         # drift + canary smoke
 
 ``--jobs``/``--cache-dir`` default to the ``REPRO_JOBS`` /
 ``REPRO_CACHE_DIR`` environment knobs; results persist under
@@ -21,6 +17,7 @@ Usage::
 (equivalent to ``REPRO_TELEMETRY=PATH``) appends structured JSONL
 events — phase spans, cache traffic, worker activity — which
 ``telemetry-report`` turns into a wall-time/cache/worker breakdown.
+The plan service has its own command line, ``python -m repro.service``.
 """
 
 from __future__ import annotations
@@ -45,24 +42,6 @@ from .runner import ExperimentRunner, RunnerSettings, set_runner
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Subcommands with their own flag vocabularies dispatch before the
-    # experiment parser sees (and rejects) those flags.
-    if argv and argv[0] in (
-        "serve", "service-bench", "fleet-bench", "drift-bench",
-    ):
-        from ..drift.bench import drift_bench_main
-        from ..service.bench import fleet_bench_main, serve_main, service_bench_main
-
-        sub = {
-            "serve": serve_main,
-            "service-bench": service_bench_main,
-            "fleet-bench": fleet_bench_main,
-            "drift-bench": drift_bench_main,
-        }[argv[0]]
-        return sub(argv[1:])
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate figures/tables from the Twig paper.",

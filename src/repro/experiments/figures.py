@@ -704,18 +704,21 @@ def drift01_canary_matrix(
     than the simulation cache, so the bench's own (smaller) default
     trace length applies unless the runner's is smaller still.
     """
-    from ..drift.bench import DriftBenchConfig, run_drift
+    from ..drift.bench import run_drift
+    from ..drift.scenarios import SCENARIO_KINDS
+    from ..service.bench import Scenario
 
     r = runner or get_runner()
-    cfg = DriftBenchConfig(
+    scenario = Scenario(
         apps=tuple(r.apps),
-        scenarios=tuple(scenarios) if scenarios is not None
-        else DriftBenchConfig.scenarios,
         trace_instructions=min(
-            r.settings.trace_instructions, DriftBenchConfig.trace_instructions
+            r.settings.trace_instructions, Scenario.trace_instructions
         ),
     )
-    report = run_drift(cfg)
+    report = run_drift(
+        scenario,
+        kinds=tuple(scenarios) if scenarios is not None else SCENARIO_KINDS,
+    )
     per_app: Dict[str, Dict[str, float]] = {}
     for case in report.cases:
         per_app.setdefault(case.app, {})[case.scenario] = (

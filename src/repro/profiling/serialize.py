@@ -36,7 +36,7 @@ def check_schema_version(data: dict, kind: str, err_cls, expected=None) -> None:
     else — a missing version or a version this build does not speak —
     raises *err_cls* with an actionable message.  *expected* defaults to
     the profiling-artifact :data:`SCHEMA_VERSION`; other artifact
-    families (e.g. the drift bench report) pass their own.
+    families (e.g. the service snapshot) pass their own.
     """
     if expected is None:
         expected = SCHEMA_VERSION

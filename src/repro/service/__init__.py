@@ -19,9 +19,10 @@ over the journal-as-WAL give ``PlanService.restore()`` a bounded
 replay, and the stdlib HTTP transport (:mod:`.http`) exposes
 ingest/serve/drain/health over a version-negotiated wire format.
 
-:mod:`.bench` holds the demo and stress runs behind the ``serve``,
-``service-bench`` and ``fleet-bench`` subcommands; they replay
-synthetic fleets against the service and pin online==offline plan
-parity.  This package imports none of its modules, so a process that
-needs only the server loads only the server.
+:mod:`.bench` holds the drivers behind ``python -m repro.service
+{run,fleet,drift}`` (:mod:`.__main__`): they replay profiled sample
+streams against the in-process service or the fleet and check
+online==offline plan parity.  This package imports none of its
+modules, so a process that needs only the server loads only the
+server.
 """

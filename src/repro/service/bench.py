@@ -1,35 +1,44 @@
-"""Synthetic fleet driver: replay sample streams against the service.
+"""Drivers that replay profiled sample streams against the plan service.
 
-The bench stands in for a fleet of profiled hosts.  For each app it
-generates a trace with the normal walker, collects the offline miss
-profile *while recording the exact arrival order of every sample*,
-then streams those samples into a running :class:`PlanService` in
-batches — one ingest client per shard, so per-shard order is
-preserved — and finally requests the served plan.
+A driver stands in for a fleet of profiled hosts.  For each app of a
+:class:`Scenario` it generates a trace with the normal walker and
+collects the offline miss profile *while recording the exact arrival
+order of every sample* (:func:`ground_truth`).  It then streams those
+samples into a running service in batches and finally requests the
+served plan.
 
 Because the online path reuses :func:`repro.core.twig.build_plan`
-verbatim and the ingest fold is lossless at default settings, the
-served plan must be site-for-site identical to the offline
-``collect_profile`` → ``build_plan`` result on the same samples; the
-driver asserts exactly that (``check_parity``).  In overload mode it
-instead stresses the serving discipline: many best-effort clients, a
-tiny queue, and synthetic per-request latency provoke shedding and
-deadline expiry while the driver verifies the queue stayed bounded and
-the drain came back clean.
+verbatim and the ingest fold is lossless at :data:`LOSSLESS` settings,
+the served plan must be site-for-site identical to the offline
+``collect_profile`` → ``build_plan`` result on the same samples; every
+run checks exactly that (:meth:`Shard.served`).
+
+Two streaming loops share that ground truth and that check, because
+their ordering contracts differ:
+
+* :func:`run_service` drives one in-process :class:`PlanService` with
+  one ingest client per shard and one ack in flight per shard, so
+  per-shard order holds by construction.  Best-effort load clients
+  can be added to stress shedding, deadlines and the drain.
+* :func:`run_fleet` drives the sharded multi-process fleet through its
+  router with a bounded cross-shard pipeline of acks, resends shed
+  batches, and fires a :class:`Chaos` schedule (worker kill, skewed
+  rebalance, autoscaler ticks) at batch milestones.
+
+``python -m repro.service`` is the command line over both (and over
+the drift run in :mod:`repro.drift.bench`).
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import sys
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import Counter, deque
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bench.clock import now as wall_now
-from ..config import SimConfig, apps_from_env, int_from_env
+from ..config import SimConfig
 from ..core.twig import build_plan
 from ..errors import (
     DeadlineExceeded,
@@ -46,9 +55,8 @@ from ..trace.walker import generate_trace
 from ..workloads.apps import app_names
 from ..workloads.cfg import Workload
 from ..workloads.rng import make_rng
-from .build import plans_equivalent
-from .fleet import FleetConfig as FleetPoolConfig
-from .fleet import FleetRouter
+from .build import PlanVersion, plans_equivalent
+from .fleet import FleetConfig, FleetRouter
 from .server import PlanService, ServiceConfig, default_workload_resolver
 
 
@@ -63,46 +71,47 @@ def collect_sample_stream(
     return profile, tuple(profile.samples)
 
 
+# Service settings under which every sample folds, so served plans must
+# equal offline build_plan: every branch is hot and the reservoir holds
+# any stream a scenario produces.
+LOSSLESS = ServiceConfig(
+    deadline_ms=5_000, reservoir_capacity=1 << 20, debounce_s=0.0
+)
+
+
+# ----------------------------------------------------------------------
+# Scenario and ground truth
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FleetConfig:
-    """One bench scenario."""
+class Scenario:
+    """What a driver streams: which apps, how much trace, what batches."""
 
     apps: Tuple[str, ...] = ("wordpress", "drupal")
     trace_instructions: int = 20_000
-    sample_rate: int = 1
     batch_size: int = 64
-    # Serving discipline under test.
-    queue_depth: int = 64
-    deadline_ms: int = 5_000
-    reservoir: int = 1 << 20  # lossless by default -> parity holds
-    hot_threshold: int = 1
-    workers: int = 2
-    debounce_s: float = 0.0
-    synthetic_delay_s: float = 0.0
-    # Best-effort load generators (stats/plan spam), for overload runs.
-    load_clients: int = 0
-    requests_per_client: int = 8
-    load_deadline_ms: int = 250
     seed: int = 0
-    check_parity: bool = True
-    check_plans: bool = True
 
     def __post_init__(self) -> None:
         if not self.apps:
-            raise ReproError("fleet bench needs at least one app")
+            raise ReproError("a scenario needs at least one app")
         unknown = sorted(set(self.apps) - set(app_names()))
         if unknown:
             raise ReproError(
-                f"fleet bench names unknown app(s) {unknown}; "
-                f"choose from {sorted(app_names())}"
+                f"unknown app(s) {unknown}; choose from {sorted(app_names())}"
+            )
+        if self.trace_instructions <= 0:
+            raise ReproError(
+                "trace_instructions must be positive, "
+                f"got {self.trace_instructions}"
             )
         if self.batch_size <= 0:
             raise ReproError(f"batch_size must be positive, got {self.batch_size}")
 
 
 @dataclass
-class AppBenchResult:
+class ShardResult:
+    """One app's shard, streamed and then served."""
+
     app: str
     input_label: str
     stream_samples: int
@@ -110,26 +119,90 @@ class AppBenchResult:
     ingest_retries: int
     served_version: int
     served_sites: int
-    parity: Optional[bool]  # None when parity checking was off
+    parity: bool  # served plan == offline build_plan on the same samples
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One app's offline ground truth: input label, profile, sample stream."""
+
+    app: str
+    label: str
+    profile: MissProfile
+    stream: Tuple[MissSample, ...]
+
+    def batches(self, batch_size: int) -> List[Tuple[MissSample, ...]]:
+        return [
+            self.stream[i : i + batch_size]
+            for i in range(0, len(self.stream), batch_size)
+        ]
+
+    def served(
+        self,
+        version: PlanVersion,
+        batches: int,
+        retries: int,
+        resolver: Callable[[str], Workload],
+        sim_cfg: SimConfig,
+    ) -> ShardResult:
+        """Check the served plan against offline ``build_plan``."""
+        offline = build_plan(resolver(self.app), self.profile, sim_cfg)
+        return ShardResult(
+            app=self.app,
+            input_label=self.label,
+            stream_samples=len(self.stream),
+            batches=batches,
+            ingest_retries=retries,
+            served_version=version.version,
+            served_sites=version.plan.total_prefetch_entries(),
+            parity=plans_equivalent(version.plan, offline),
+        )
+
+
+def ground_truth(
+    scenario: Scenario,
+    resolver: Callable[[str], Workload],
+    sim_cfg: SimConfig,
+) -> Dict[str, Shard]:
+    """Profile every app of *scenario* offline, keeping arrival order."""
+    shards: Dict[str, Shard] = {}
+    for app in scenario.apps:
+        workload = resolver(app)
+        trace = generate_trace(
+            workload,
+            workload.spec.make_input(0),
+            max_instructions=scenario.trace_instructions,
+        )
+        profile, stream = collect_sample_stream(workload, trace, sim_cfg)
+        shards[app] = Shard(app, trace.label, profile, stream)
+    return shards
+
+
+# ----------------------------------------------------------------------
+# Reports
+# ----------------------------------------------------------------------
+@dataclass
+class StreamReport:
+    """Per-shard results of one run."""
+
+    apps: Dict[str, ShardResult] = field(default_factory=dict)
+    wall_s: float = 0.0
+
+    @property
+    def parity_ok(self) -> bool:
+        return all(r.parity for r in self.apps.values())
 
 
 @dataclass
-class BenchReport:
-    apps: Dict[str, AppBenchResult] = field(default_factory=dict)
-    stats: Dict = field(default_factory=dict)
+class ServiceReport(StreamReport):
+    """What one in-process run produced."""
+
+    stats: Dict = field(default_factory=dict)  # PlanService.stop() report
     load_ok: int = 0
     load_shed: int = 0
     load_expired: int = 0
     load_closed: int = 0
     drained_clean: bool = False
-    wall_s: float = 0.0
-
-    @property
-    def parity_ok(self) -> Optional[bool]:
-        checked = [r.parity for r in self.apps.values() if r.parity is not None]
-        if not checked:
-            return None
-        return all(checked)
 
     @property
     def sheds(self) -> int:
@@ -146,14 +219,59 @@ class BenchReport:
         return int(self.stats.get("max_queue_depth", 0))
 
 
+@dataclass
+class FleetReport(StreamReport):
+    """What one sharded-fleet run produced."""
+
+    fleet: Dict = field(default_factory=dict)  # FleetRouter.stop() report
+    decisions: List[Dict] = field(default_factory=list)
+    moved_keys: int = 0
+    crash_acks: int = 0  # journaled ingests acked by WorkerCrashed (replayed)
+    ingest_retries: int = 0  # shed submissions resent (exactly-once safe)
+
+    @property
+    def router_counters(self) -> Dict:
+        return self.fleet.get("router", {}).get("counters", {})
+
+    @property
+    def sheds(self) -> int:
+        return int(self.router_counters.get("fleet.replica_sheds", 0)) + sum(
+            int(v)
+            for k, v in self.router_counters.items()
+            if k.startswith("fleet.worker.") and k.endswith(".shed")
+        )
+
+    @property
+    def crashed_workers(self) -> List[str]:
+        return list(self.fleet.get("router", {}).get("crashed_workers", []))
+
+    @property
+    def drained_clean(self) -> bool:
+        return (
+            not self.fleet.get("abandoned_shards")
+            and not self.fleet.get("dirty_shards")
+        )
+
+
+def _shard_lines(title: str, report: StreamReport) -> List[str]:
+    lines = [title, "=" * len(title), "", "per-shard (streamed -> served)"]
+    for app in sorted(report.apps):
+        r = report.apps[app]
+        lines.append(
+            f"  {app:16s} samples={r.stream_samples:<6d} "
+            f"batches={r.batches:<4d} retries={r.ingest_retries:<4d} "
+            f"plan v{r.served_version} sites={r.served_sites:<5d} "
+            f"parity={'OK' if r.parity else 'MISMATCH'}"
+        )
+    lines.append("")
+    return lines
+
+
+# ----------------------------------------------------------------------
+# In-process driver
 # ----------------------------------------------------------------------
 async def _ingest_client(
-    service: PlanService,
-    app: str,
-    label: str,
-    stream,
-    batch_size: int,
-    seed: int,
+    service: PlanService, shard: Shard, batch_size: int, seed: int
 ) -> Tuple[int, int]:
     """Stream one shard's samples in order; retry shed/expired batches.
 
@@ -161,14 +279,13 @@ async def _ingest_client(
     queue, and an expired one is skipped by the worker (its future is
     already cancelled), so a retry cannot double-fold samples.
     """
-    rng = make_rng("service-bench-client", app, label, seed)
+    rng = make_rng("service-bench-client", shard.app, shard.label, seed)
     batches = 0
     retries = 0
-    for start in range(0, len(stream), batch_size):
-        chunk = stream[start : start + batch_size]
+    for chunk in shard.batches(batch_size):
         while True:
             try:
-                await service.ingest(app, label, chunk, seq=batches)
+                await service.ingest(shard.app, shard.label, chunk, seq=batches)
                 batches += 1
                 break
             except (ServiceOverload, DeadlineExceeded):
@@ -177,11 +294,15 @@ async def _ingest_client(
     return batches, retries
 
 
+# Stats requests each best-effort load client sends.
+LOAD_REQUESTS = 8
+
+
 async def _load_client(
-    service: PlanService, report: BenchReport, requests: int, deadline_ms: int
+    service: PlanService, report: ServiceReport, deadline_ms: int
 ) -> None:
     """Best-effort stats spam; every outcome is tallied, none retried."""
-    for _ in range(requests):
+    for _ in range(LOAD_REQUESTS):
         try:
             await service.stats(deadline_ms=deadline_ms)
             report.load_ok += 1
@@ -193,58 +314,37 @@ async def _load_client(
             report.load_closed += 1
 
 
-async def _drive(cfg: FleetConfig, telemetry: Optional[TelemetrySink]) -> BenchReport:
+async def _drive_service(
+    scenario: Scenario,
+    config: ServiceConfig,
+    telemetry: Optional[TelemetrySink],
+    load_clients: int,
+    load_deadline_ms: int,
+) -> ServiceReport:
     resolver = default_workload_resolver()
     sim_cfg = SimConfig()
-
-    # Offline ground truth first: profile + arrival-ordered stream.
-    shards = {}
-    for app in cfg.apps:
-        workload = resolver(app)
-        inp = workload.spec.make_input(0)
-        trace = generate_trace(
-            workload, inp, max_instructions=cfg.trace_instructions
-        )
-        profile, stream = collect_sample_stream(
-            workload, trace, sim_cfg, sample_rate=cfg.sample_rate
-        )
-        shards[app] = (trace.label, profile, stream)
-
+    shards = ground_truth(scenario, resolver, sim_cfg)
     service = PlanService(
         workload_for=resolver,
-        config=ServiceConfig(
-            queue_depth=cfg.queue_depth,
-            deadline_ms=cfg.deadline_ms,
-            reservoir_capacity=cfg.reservoir,
-            hot_threshold=cfg.hot_threshold,
-            workers=cfg.workers,
-            debounce_s=cfg.debounce_s,
-            synthetic_delay_s=cfg.synthetic_delay_s,
-            seed=cfg.seed,
-        ),
+        config=config,
         sim_config=sim_cfg,
-        check_plans=cfg.check_plans,
         telemetry=telemetry,
     )
 
-    report = BenchReport()
+    report = ServiceReport()
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     await service.start()
 
     ingest_tasks = {
         app: loop.create_task(
-            _ingest_client(service, app, label, stream, cfg.batch_size, cfg.seed)
+            _ingest_client(service, shard, scenario.batch_size, scenario.seed)
         )
-        for app, (label, _profile, stream) in shards.items()
+        for app, shard in shards.items()
     }
     load_tasks = [
-        loop.create_task(
-            _load_client(
-                service, report, cfg.requests_per_client, cfg.load_deadline_ms
-            )
-        )
-        for _ in range(cfg.load_clients)
+        loop.create_task(_load_client(service, report, load_deadline_ms))
+        for _ in range(load_clients)
     ]
 
     await asyncio.gather(*ingest_tasks.values())
@@ -252,22 +352,11 @@ async def _drive(cfg: FleetConfig, telemetry: Optional[TelemetrySink]) -> BenchR
     # Every shard is fully ingested; ask for the plans a fleet host
     # would fetch.  A generous deadline keeps overload runs honest:
     # the final plan must still be servable after the storm.
-    for app, (label, profile, stream) in shards.items():
+    for app, shard in shards.items():
         batches, retries = ingest_tasks[app].result()
-        version = await service.get_plan(app, label, deadline_ms=60_000)
-        parity: Optional[bool] = None
-        if cfg.check_parity:
-            offline = build_plan(resolver(app), profile, sim_cfg)
-            parity = plans_equivalent(version.plan, offline)
-        report.apps[app] = AppBenchResult(
-            app=app,
-            input_label=label,
-            stream_samples=len(stream),
-            batches=batches,
-            ingest_retries=retries,
-            served_version=version.version,
-            served_sites=version.plan.total_prefetch_entries(),
-            parity=parity,
+        version = await service.get_plan(app, shard.label, deadline_ms=60_000)
+        report.apps[app] = shard.served(
+            version, batches, retries, resolver, sim_cfg
         )
 
     await asyncio.gather(*load_tasks)
@@ -280,32 +369,30 @@ async def _drive(cfg: FleetConfig, telemetry: Optional[TelemetrySink]) -> BenchR
     return report
 
 
-def run_fleet(
-    cfg: FleetConfig, telemetry: Optional[TelemetrySink] = None
-) -> BenchReport:
-    """Run one bench scenario to completion (creates its own loop)."""
-    return asyncio.run(_drive(cfg, telemetry))
+def run_service(
+    scenario: Scenario,
+    config: ServiceConfig = LOSSLESS,
+    telemetry: Optional[TelemetrySink] = None,
+    load_clients: int = 0,
+    load_deadline_ms: int = 250,
+) -> ServiceReport:
+    """Stream *scenario* through one in-process service (own loop).
 
-
-# ----------------------------------------------------------------------
-def format_bench_report(report: BenchReport) -> str:
-    lines: List[str] = []
-    out = lines.append
-    out("service bench report")
-    out("====================")
-    out("")
-    out("per-shard (streamed -> served)")
-    for app in sorted(report.apps):
-        r = report.apps[app]
-        parity = "n/a" if r.parity is None else ("OK" if r.parity else "MISMATCH")
-        out(
-            f"  {app:16s} samples={r.stream_samples:<6d} "
-            f"batches={r.batches:<4d} retries={r.ingest_retries:<4d} "
-            f"plan v{r.served_version} sites={r.served_sites:<5d} "
-            f"parity={parity}"
+    ``load_clients`` best-effort clients each send ``LOAD_REQUESTS``
+    stats requests with a ``load_deadline_ms`` budget alongside the
+    ingest, to provoke shedding and deadline expiry.
+    """
+    return asyncio.run(
+        _drive_service(
+            scenario, config, telemetry, load_clients, load_deadline_ms
         )
+    )
+
+
+def format_service_report(report: ServiceReport) -> str:
+    lines = _shard_lines("service bench report", report)
+    out = lines.append
     counters = report.stats.get("counters", {})
-    out("")
     out(
         f"service: {int(counters.get('service.requests', 0))} requests, "
         f"{report.sheds} shed, {report.deadline_expired} deadline-expired, "
@@ -330,44 +417,21 @@ def format_bench_report(report: BenchReport) -> str:
 # Sharded multi-process fleet driver (repro.service.fleet)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ShardedFleetConfig:
-    """One sharded-fleet bench scenario (router + worker processes).
+class Chaos:
+    """Faults a fleet run injects, and how hard it pushes the router.
 
-    The chaos knobs (``kill_after`` / ``rebalance_after`` /
-    ``autoscale_every``) trigger on the count of journaled batches, so
-    a scenario is reproducible batch-for-batch regardless of wall time.
+    The triggers count journaled batches, so a run is reproducible
+    batch-for-batch regardless of wall time.
     """
 
-    apps: Tuple[str, ...] = ("wordpress", "drupal")
-    trace_instructions: int = 12_000
-    sample_rate: int = 1
-    batch_size: int = 64
-    workers: int = 2
-    replicas: int = 1
-    max_workers: int = 8
-    queue_depth: int = 64
-    # Outstanding ingest acks the driver keeps in flight per step;
-    # raising it past queue_depth provokes shedding.
-    pipeline_depth: int = 8
-    autoscale: bool = False
-    autoscale_every: int = 0  # autoscale_tick() every N batches; 0 = never
     kill_after: Optional[int] = None  # SIGKILL a worker after N batches
     rebalance_after: Optional[int] = None  # skew ring weights after N batches
-    seed: int = 0
-    check_parity: bool = True
-    check_plans: bool = True
+    autoscale_every: int = 0  # autoscale_tick() every N batches; 0 = never
+    # Outstanding ingest acks kept in flight across shards; raising it
+    # past the router's queue_depth provokes shedding.
+    pipeline_depth: int = 8
 
     def __post_init__(self) -> None:
-        if not self.apps:
-            raise ReproError("sharded fleet bench needs at least one app")
-        unknown = sorted(set(self.apps) - set(app_names()))
-        if unknown:
-            raise ReproError(
-                f"sharded fleet bench names unknown app(s) {unknown}; "
-                f"choose from {sorted(app_names())}"
-            )
-        if self.batch_size <= 0:
-            raise ReproError(f"batch_size must be positive, got {self.batch_size}")
         if self.pipeline_depth < 1:
             raise ReproError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
@@ -378,50 +442,20 @@ class ShardedFleetConfig:
             )
 
 
-@dataclass
-class FleetBenchReport:
-    """What one sharded-fleet run produced."""
+# The ``fleet --chaos`` preset: one kill, one skewed rebalance and an
+# autoscaler tick every 6 batches, with a pipeline deeper than the
+# preset's router queue (4) so the router sheds.
+CHAOS = Chaos(kill_after=5, rebalance_after=9, autoscale_every=6, pipeline_depth=12)
 
-    apps: Dict[str, AppBenchResult] = field(default_factory=dict)
-    fleet: Dict = field(default_factory=dict)  # FleetRouter.stop() report
-    decisions: List[Dict] = field(default_factory=list)
-    moved_keys: int = 0
-    crash_acks: int = 0  # journaled ingests acked by WorkerCrashed (replayed)
-    ingest_retries: int = 0  # shed submissions resent (exactly-once safe)
-    wall_s: float = 0.0
-
-    @property
-    def router_counters(self) -> Dict:
-        return self.fleet.get("router", {}).get("counters", {})
-
-    @property
-    def parity_ok(self) -> Optional[bool]:
-        checked = [r.parity for r in self.apps.values() if r.parity is not None]
-        if not checked:
-            return None
-        return all(checked)
-
-    @property
-    def sheds(self) -> int:
-        return int(self.router_counters.get("fleet.replica_sheds", 0)) + sum(
-            int(v)
-            for k, v in self.router_counters.items()
-            if k.startswith("fleet.worker.") and k.endswith(".shed")
-        )
-
-    @property
-    def crashed_workers(self) -> List[str]:
-        return list(self.fleet.get("router", {}).get("crashed_workers", []))
-
-    @property
-    def drained_clean(self) -> bool:
-        return (
-            not self.fleet.get("abandoned_shards")
-            and not self.fleet.get("dirty_shards")
-        )
+# Fleet workers fold losslessly like LOSSLESS, but with a long
+# debounce: shards build once at drain/get_plan instead of churning
+# mid-stream, since parity is about the end state.
+_FLEET_WORKER = ServiceConfig(
+    deadline_ms=60_000, reservoir_capacity=1 << 20, debounce_s=30.0
+)
 
 
-def _reap_acks(outstanding, report: FleetBenchReport, limit: int) -> None:
+def _reap_acks(outstanding, report: FleetReport, limit: int) -> None:
     """Wait out ingest acks beyond *limit* outstanding.
 
     A :class:`~repro.errors.WorkerCrashed` ack is *not* a lost batch:
@@ -436,60 +470,32 @@ def _reap_acks(outstanding, report: FleetBenchReport, limit: int) -> None:
             report.crash_acks += 1
 
 
-def run_fleet_sharded(
-    cfg: ShardedFleetConfig,
+def run_fleet(
+    scenario: Scenario,
+    config: FleetConfig,
+    chaos: Chaos = Chaos(),
     telemetry_path: Optional[str] = None,
     journal_path: Optional[str] = None,
     decisions_path: Optional[str] = None,
-) -> FleetBenchReport:
-    """Drive a sharded multi-process fleet and assert end-state parity.
+) -> FleetReport:
+    """Drive a sharded multi-process fleet and check end-state parity.
 
-    Ground truth first (offline profile + arrival-ordered stream per
-    app), then the same streams are interleaved round-robin across
-    shards through the router while the configured chaos (worker kill,
-    skewed rebalance, autoscaler ticks) fires at batch milestones.
-    After a fleet-wide drain, each served plan is compared
-    site-for-site against the offline ``collect_profile → build_plan``
-    result on the same samples.
+    The scenario's streams are interleaved round-robin across shards
+    through the router while *chaos* fires at batch milestones.  After
+    a fleet-wide drain, each served plan is compared site-for-site
+    against the offline ``collect_profile → build_plan`` result on the
+    same samples.
     """
     resolver = default_workload_resolver()
     sim_cfg = SimConfig()
-    report = FleetBenchReport()
+    report = FleetReport()
     t0 = wall_now()
-
-    shards: Dict[str, Tuple[str, MissProfile, Tuple[MissSample, ...]]] = {}
-    for app in cfg.apps:
-        workload = resolver(app)
-        inp = workload.spec.make_input(0)
-        trace = generate_trace(
-            workload, inp, max_instructions=cfg.trace_instructions
-        )
-        profile, stream = collect_sample_stream(
-            workload, trace, sim_cfg, sample_rate=cfg.sample_rate
-        )
-        shards[app] = (trace.label, profile, stream)
+    shards = ground_truth(scenario, resolver, sim_cfg)
 
     router = FleetRouter(
-        config=FleetPoolConfig(
-            workers=cfg.workers,
-            replicas=cfg.replicas,
-            autoscale=cfg.autoscale,
-            max_workers=max(cfg.max_workers, cfg.workers),
-            queue_depth=cfg.queue_depth,
-            seed=cfg.seed,
-        ),
-        # Long debounce: shards build once at drain/get_plan instead of
-        # churning mid-stream; parity is about the end state.
-        service_config=ServiceConfig(
-            queue_depth=64,
-            deadline_ms=60_000,
-            reservoir_capacity=1 << 20,
-            hot_threshold=1,
-            debounce_s=30.0,
-            seed=cfg.seed,
-        ),
+        config=config,
+        service_config=replace(_FLEET_WORKER, seed=config.seed),
         sim_config=sim_cfg,
-        check_plans=cfg.check_plans,
         telemetry_path=telemetry_path,
         journal_path=journal_path,
         decisions_path=decisions_path,
@@ -499,28 +505,24 @@ def run_fleet_sharded(
     # Round-robin interleave so chaos events land mid-stream for every
     # shard, not after some shard already finished.
     queues = {
-        app: deque(
-            (stream[i : i + cfg.batch_size], seq)
-            for seq, i in enumerate(range(0, len(stream), cfg.batch_size))
-        )
-        for app, (_label, _profile, stream) in shards.items()
+        app: deque(enumerate(shard.batches(scenario.batch_size)))
+        for app, shard in shards.items()
     }
-    batches: Dict[str, int] = {app: 0 for app in cfg.apps}
-    retries: Dict[str, int] = {app: 0 for app in cfg.apps}
+    batches: Dict[str, int] = {app: 0 for app in shards}
+    retries: Dict[str, int] = {app: 0 for app in shards}
     outstanding: deque = deque()
     journaled = 0
     killed = False
     rebalanced = False
     while any(queues.values()):
-        for app in cfg.apps:
+        for app, shard in shards.items():
             if not queues[app]:
                 continue
-            label = shards[app][0]
-            chunk, seq = queues[app].popleft()
+            seq, chunk = queues[app].popleft()
             while True:
                 try:
                     outstanding.append(
-                        router.ingest_async(app, label, chunk, seq=seq)
+                        router.ingest_async(app, shard.label, chunk, seq=seq)
                     )
                     batches[app] += 1
                     break
@@ -533,18 +535,18 @@ def run_fleet_sharded(
                     _reap_acks(outstanding, report, limit=0)
                     time.sleep(0.001)
             journaled += 1
-            _reap_acks(outstanding, report, limit=cfg.pipeline_depth)
+            _reap_acks(outstanding, report, limit=chaos.pipeline_depth)
             if (
-                cfg.kill_after is not None
+                chaos.kill_after is not None
                 and not killed
-                and journaled >= cfg.kill_after
+                and journaled >= chaos.kill_after
             ):
                 router.kill_worker(router.ring.workers()[0])
                 killed = True
             if (
-                cfg.rebalance_after is not None
+                chaos.rebalance_after is not None
                 and not rebalanced
-                and journaled >= cfg.rebalance_after
+                and journaled >= chaos.rebalance_after
             ):
                 _reap_acks(outstanding, report, limit=0)
                 members = router.ring.workers()
@@ -554,26 +556,14 @@ def run_fleet_sharded(
                 }
                 report.moved_keys = len(router.rebalance(weights))
                 rebalanced = True
-            if cfg.autoscale_every and journaled % cfg.autoscale_every == 0:
+            if chaos.autoscale_every and journaled % chaos.autoscale_every == 0:
                 router.autoscale_tick()
     _reap_acks(outstanding, report, limit=0)
 
-    for app in cfg.apps:
-        label, profile, stream = shards[app]
-        version = router.get_plan(app, label)
-        parity: Optional[bool] = None
-        if cfg.check_parity:
-            offline = build_plan(resolver(app), profile, sim_cfg)
-            parity = plans_equivalent(version.plan, offline)
-        report.apps[app] = AppBenchResult(
-            app=app,
-            input_label=label,
-            stream_samples=len(stream),
-            batches=batches[app],
-            ingest_retries=retries[app],
-            served_version=version.version,
-            served_sites=version.plan.total_prefetch_entries(),
-            parity=parity,
+    for app, shard in shards.items():
+        version = router.get_plan(app, shard.label)
+        report.apps[app] = shard.served(
+            version, batches[app], retries[app], resolver, sim_cfg
         )
 
     report.fleet = router.stop()
@@ -582,26 +572,12 @@ def run_fleet_sharded(
     return report
 
 
-def format_fleet_report(report: FleetBenchReport) -> str:
-    lines: List[str] = []
+def format_fleet_report(report: FleetReport) -> str:
+    lines = _shard_lines("sharded fleet bench report", report)
     out = lines.append
-    out("sharded fleet bench report")
-    out("==========================")
-    out("")
-    out("per-shard (streamed -> served)")
-    for app in sorted(report.apps):
-        r = report.apps[app]
-        parity = "n/a" if r.parity is None else ("OK" if r.parity else "MISMATCH")
-        out(
-            f"  {app:16s} samples={r.stream_samples:<6d} "
-            f"batches={r.batches:<4d} retries={r.ingest_retries:<4d} "
-            f"plan v{r.served_version} sites={r.served_sites:<5d} "
-            f"parity={parity}"
-        )
     counters = report.router_counters
     router = report.fleet.get("router", {})
     journal = router.get("journal", {})
-    out("")
     out(
         f"fleet: {int(counters.get('fleet.batches', 0))} batches journaled "
         f"({journal.get('samples', 0)} samples, {journal.get('keys', 0)} shards), "
@@ -621,12 +597,8 @@ def format_fleet_report(report: FleetBenchReport) -> str:
         f"{report.moved_keys} key(s) moved)"
     )
     if report.decisions:
-        actions: Dict[str, int] = {}
-        for decision in report.decisions:
-            actions[decision["action"]] = actions.get(decision["action"], 0) + 1
-        summary = ", ".join(
-            f"{count} {action}" for action, count in sorted(actions.items())
-        )
+        actions = Counter(decision["action"] for decision in report.decisions)
+        summary = ", ".join(f"{n} {action}" for action, n in sorted(actions.items()))
         out(f"autoscaler: {len(report.decisions)} decision(s): {summary}")
     out(
         f"drain: {'clean' if report.drained_clean else 'DIRTY'} "
@@ -637,7 +609,7 @@ def format_fleet_report(report: FleetBenchReport) -> str:
 
 
 # ----------------------------------------------------------------------
-# In-process crash (drift bench, recovery tests)
+# In-process crash (drift run, recovery tests)
 # ----------------------------------------------------------------------
 async def _abandon_service(service: PlanService) -> None:
     """Simulate a crash: cancel workers mid-air, skip the drain.
@@ -654,376 +626,3 @@ async def _abandon_service(service: PlanService) -> None:
     service._debounce.clear()
     if service.journal is not None:
         service.journal.close()
-
-
-# ----------------------------------------------------------------------
-# CLI entry points (python -m repro.experiments serve / service-bench,
-# tools/service_bench.py)
-# ----------------------------------------------------------------------
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated app subset (default: $REPRO_APPS or wordpress,drupal)",
-    )
-    parser.add_argument(
-        "--trace-instructions",
-        type=int,
-        default=None,
-        help="trace length per app (default: $REPRO_TRACE_INSTRUCTIONS or 20000)",
-    )
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--deadline-ms", type=int, default=5000)
-    parser.add_argument("--reservoir", type=int, default=1 << 20)
-    parser.add_argument("--hot-threshold", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--no-check-plans",
-        action="store_true",
-        help="skip the staticcheck publish gate",
-    )
-    parser.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="append service telemetry JSONL events to PATH",
-    )
-
-
-def _resolve_apps(raw: Optional[str]) -> Tuple[str, ...]:
-    if raw:
-        return tuple(a.strip() for a in raw.split(",") if a.strip())
-    env = apps_from_env()
-    if env is not None:
-        return env
-    return ("wordpress", "drupal")
-
-
-def _run_fleet_logged(cfg: FleetConfig, telemetry_path: Optional[str]) -> BenchReport:
-    """:func:`run_fleet`, logging to *telemetry_path* when given.
-
-    The log is closed however the run ends; only a finished run
-    appends the summary event.
-    """
-    sink = TelemetrySink(telemetry_path) if telemetry_path else None
-    try:
-        report = run_fleet(cfg, telemetry=sink)
-        if sink is not None:
-            sink.emit_summary()
-        return report
-    finally:
-        if sink is not None:
-            sink.close()
-
-
-def service_bench_main(argv=None) -> int:
-    """``service-bench``: the configurable fleet stress driver."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments service-bench",
-        description="Replay synthetic LBR sample streams against the plan "
-        "service and report shedding/deadline/drain behaviour.",
-    )
-    _add_common_args(parser)
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=0,
-        help="best-effort load clients spamming stats requests",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=8, help="requests per load client"
-    )
-    parser.add_argument("--load-deadline-ms", type=int, default=250)
-    parser.add_argument(
-        "--synthetic-delay-ms",
-        type=int,
-        default=0,
-        help="artificial per-request latency (non-ingest), to provoke backlog",
-    )
-    parser.add_argument(
-        "--overload",
-        action="store_true",
-        help="preset: tiny queue, 1 worker, synthetic latency, many clients",
-    )
-    parser.add_argument(
-        "--no-check-parity",
-        action="store_true",
-        help="skip the online==offline plan parity assertion",
-    )
-    parser.add_argument(
-        "--expect-sheds",
-        action="store_true",
-        help="exit nonzero unless the run shed at least one request",
-    )
-    args = parser.parse_args(argv)
-
-    queue_depth = args.queue_depth
-    workers = args.workers
-    clients = args.clients
-    delay_s = args.synthetic_delay_ms / 1000.0
-    if args.overload:
-        queue_depth = min(queue_depth, 4)
-        workers = 1
-        clients = max(clients, 6 * queue_depth)
-        delay_s = max(delay_s, 0.02)
-
-    try:
-        cfg = FleetConfig(
-            apps=_resolve_apps(args.apps),
-            trace_instructions=(
-                args.trace_instructions
-                if args.trace_instructions is not None
-                else int_from_env("REPRO_TRACE_INSTRUCTIONS", 20_000)
-            ),
-            batch_size=args.batch_size,
-            queue_depth=queue_depth,
-            deadline_ms=args.deadline_ms,
-            reservoir=args.reservoir,
-            hot_threshold=args.hot_threshold,
-            workers=workers,
-            synthetic_delay_s=delay_s,
-            load_clients=clients,
-            requests_per_client=args.requests,
-            load_deadline_ms=args.load_deadline_ms,
-            seed=args.seed,
-            check_parity=not args.no_check_parity,
-            check_plans=not args.no_check_plans,
-        )
-        report = _run_fleet_logged(cfg, args.telemetry)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_bench_report(report))
-    if cfg.check_parity and report.parity_ok is False:
-        print("error: served plans diverged from the offline pipeline",
-              file=sys.stderr)
-        return 1
-    if not report.drained_clean:
-        print("error: service did not drain cleanly", file=sys.stderr)
-        return 1
-    if args.expect_sheds and report.sheds == 0:
-        print("error: --expect-sheds but no request was shed", file=sys.stderr)
-        return 1
-    return 0
-
-
-def serve_main(argv=None) -> int:
-    """``serve``: a one-shot demo session of the plan service.
-
-    Streams every requested app's samples through a running service
-    with gentle settings, prints the served plans, and drains.  With
-    ``--fleet``, ``--workers N`` means N worker *processes* behind the
-    sharded router instead of N async tasks in one process.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description="Run a demo plan-service session: stream profiles in, "
-        "serve verified plans back, drain gracefully.",
-    )
-    _add_common_args(parser)
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help="serve from a sharded multi-process fleet "
-        "(--workers = worker processes)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="hot-shard replicas per key (fleet mode only)",
-    )
-    args = parser.parse_args(argv)
-    if args.fleet:
-        try:
-            cfg = ShardedFleetConfig(
-                apps=_resolve_apps(args.apps),
-                trace_instructions=(
-                    args.trace_instructions
-                    if args.trace_instructions is not None
-                    else int_from_env("REPRO_TRACE_INSTRUCTIONS", 20_000)
-                ),
-                batch_size=args.batch_size,
-                workers=args.workers,
-                replicas=args.replicas,
-                queue_depth=args.queue_depth,
-                seed=args.seed,
-                check_parity=True,
-                check_plans=not args.no_check_plans,
-            )
-            report = run_fleet_sharded(cfg, telemetry_path=args.telemetry)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_fleet_report(report))
-        return 0 if report.parity_ok is not False and report.drained_clean else 1
-    try:
-        cfg = FleetConfig(
-            apps=_resolve_apps(args.apps),
-            trace_instructions=(
-                args.trace_instructions
-                if args.trace_instructions is not None
-                else int_from_env("REPRO_TRACE_INSTRUCTIONS", 20_000)
-            ),
-            batch_size=args.batch_size,
-            queue_depth=args.queue_depth,
-            deadline_ms=args.deadline_ms,
-            reservoir=args.reservoir,
-            hot_threshold=args.hot_threshold,
-            workers=args.workers,
-            seed=args.seed,
-            check_parity=True,
-            check_plans=not args.no_check_plans,
-        )
-        report = _run_fleet_logged(cfg, args.telemetry)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_bench_report(report))
-    return 0 if report.parity_ok is not False and report.drained_clean else 1
-
-
-def fleet_bench_main(argv=None) -> int:
-    """``fleet-bench``: the sharded multi-process chaos driver."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments fleet-bench",
-        description="Stream synthetic LBR samples through the sharded "
-        "multi-process fleet (kill / rebalance / autoscale chaos) and "
-        "assert end-state plan parity against the offline pipeline.",
-    )
-    _add_common_args(parser)
-    parser.add_argument(
-        "--replicas", type=int, default=1, help="hot-shard replicas per key"
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=8, help="autoscaler pool ceiling"
-    )
-    parser.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=8,
-        help="outstanding ingest acks kept in flight (raise past "
-        "--queue-depth to provoke shedding)",
-    )
-    parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="enable the autoscaler (grow/shrink from live telemetry)",
-    )
-    parser.add_argument(
-        "--autoscale-every",
-        type=int,
-        default=0,
-        help="run one autoscaler tick every N journaled batches",
-    )
-    parser.add_argument(
-        "--kill-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="SIGKILL one worker after N journaled batches",
-    )
-    parser.add_argument(
-        "--rebalance-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="skew ring weights after N journaled batches",
-    )
-    parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="preset: tiny queues, deep pipeline, kill + rebalance + "
-        "autoscaler ticks mid-stream",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="mirror the ingest journal to a JSONL file",
-    )
-    parser.add_argument(
-        "--decisions",
-        default=None,
-        metavar="PATH",
-        help="append autoscaler allocation decisions to a JSONL file",
-    )
-    parser.add_argument(
-        "--no-check-parity",
-        action="store_true",
-        help="skip the online==offline plan parity assertion",
-    )
-    args = parser.parse_args(argv)
-
-    queue_depth = args.queue_depth
-    pipeline_depth = args.pipeline_depth
-    autoscale = args.autoscale
-    autoscale_every = args.autoscale_every
-    kill_after = args.kill_after
-    rebalance_after = args.rebalance_after
-    if args.chaos:
-        queue_depth = min(queue_depth, 4)
-        pipeline_depth = max(pipeline_depth, 3 * queue_depth)
-        autoscale = True
-        autoscale_every = autoscale_every or 6
-        kill_after = kill_after if kill_after is not None else 5
-        rebalance_after = rebalance_after if rebalance_after is not None else 9
-
-    try:
-        cfg = ShardedFleetConfig(
-            apps=_resolve_apps(args.apps),
-            trace_instructions=(
-                args.trace_instructions
-                if args.trace_instructions is not None
-                else int_from_env("REPRO_TRACE_INSTRUCTIONS", 12_000)
-            ),
-            batch_size=args.batch_size,
-            workers=args.workers,
-            replicas=args.replicas,
-            max_workers=args.max_workers,
-            queue_depth=queue_depth,
-            pipeline_depth=pipeline_depth,
-            autoscale=autoscale,
-            autoscale_every=autoscale_every,
-            kill_after=kill_after,
-            rebalance_after=rebalance_after,
-            seed=args.seed,
-            check_parity=not args.no_check_parity,
-            check_plans=not args.no_check_plans,
-        )
-        report = run_fleet_sharded(
-            cfg,
-            telemetry_path=args.telemetry,
-            journal_path=args.journal,
-            decisions_path=args.decisions,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_fleet_report(report))
-    if cfg.check_parity and report.parity_ok is False:
-        print(
-            "error: served plans diverged from the offline pipeline",
-            file=sys.stderr,
-        )
-        return 1
-    if not report.drained_clean:
-        print("error: fleet did not drain cleanly", file=sys.stderr)
-        return 1
-    if kill_after is not None and not report.crashed_workers:
-        print(
-            "error: --kill-after was set but no worker crash was recorded",
-            file=sys.stderr,
-        )
-        return 1
-    if rebalance_after is not None and not int(
-        report.router_counters.get("fleet.rebalances", 0)
-    ):
-        print(
-            "error: --rebalance-after was set but no rebalance ran",
-            file=sys.stderr,
-        )
-        return 1
-    return 0

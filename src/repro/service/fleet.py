@@ -45,16 +45,10 @@ import multiprocessing
 import os
 import queue as queue_mod
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..config import (
-    ConfigError,
-    SimConfig,
-    fleet_autoscale_from_env,
-    fleet_replicas_from_env,
-    fleet_workers_from_env,
-)
+from ..config import ConfigError, SimConfig
 from ..errors import (
     DeadlineExceeded,
     FleetError,
@@ -81,11 +75,15 @@ DECISION_SCHEMA_VERSION = 1
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet-layer knobs (env-backed where a knob exists)."""
+    """Fleet-layer knobs."""
 
-    workers: int = field(default_factory=fleet_workers_from_env)
-    replicas: int = field(default_factory=fleet_replicas_from_env)
-    autoscale: bool = field(default_factory=fleet_autoscale_from_env)
+    # Initial worker processes; the autoscaler may grow or shrink the
+    # pool within [min_workers, max_workers].
+    workers: int = 2
+    # Workers folding each shard (primary plus hot spares).
+    replicas: int = 1
+    # Off: every autoscale_tick records a ``hold`` decision.
+    autoscale: bool = False
     min_workers: int = 1
     max_workers: int = 8
     # Router-side bounded queue per worker (outstanding requests).
@@ -164,22 +162,14 @@ class FleetConfig:
 def _fleet_worker_entry(
     conn,
     worker_id: str,
-    service_config: Optional[ServiceConfig],
+    config: ServiceConfig,
     sim_config: Optional[SimConfig],
-    check_plans: bool,
     telemetry_path: Optional[str],
     workload_seed: int,
     snapshot_dir: Optional[str] = None,
 ) -> None:
-    """Process target: run one ``PlanService`` over a router pipe.
-
-    ``service_config=None`` makes the worker construct its own
-    :class:`ServiceConfig` *in the child process*, so the env-backed
-    knobs (``REPRO_SERVICE_*``) are read from the inherited environment
-    — the same inheritance contract as the experiment pool workers.
-    """
+    """Process target: run one ``PlanService`` over a router pipe."""
     sink = TelemetrySink(telemetry_path) if telemetry_path else None
-    config = service_config if service_config is not None else ServiceConfig()
     if snapshot_dir is not None:
         # Per-worker durability: the router hands each worker its own
         # snapshot directory (keyed by worker id, which a restarted
@@ -190,7 +180,6 @@ def _fleet_worker_entry(
         workload_for=default_workload_resolver(workload_seed),
         config=config,
         sim_config=sim_config,
-        check_plans=check_plans,
         telemetry=sink,
     )
     if config.snapshot_dir:
@@ -526,7 +515,6 @@ class FleetRouter:
         config: Optional[FleetConfig] = None,
         service_config: Optional[ServiceConfig] = None,
         sim_config: Optional[SimConfig] = None,
-        check_plans: bool = True,
         telemetry_path: Optional[str] = None,
         journal_path: Optional[str] = None,
         journal_fsync: bool = False,
@@ -535,9 +523,10 @@ class FleetRouter:
         workload_seed: int = 0,
     ):
         self.config = config if config is not None else FleetConfig()
-        self.service_config = service_config
+        self.service_config = (
+            service_config if service_config is not None else ServiceConfig()
+        )
         self.sim_config = sim_config
-        self.check_plans = check_plans
         self.telemetry_path = telemetry_path
         self.telemetry = (
             TelemetrySink(telemetry_path) if telemetry_path else None
@@ -632,7 +621,6 @@ class FleetRouter:
                 worker_id,
                 self.service_config,
                 self.sim_config,
-                self.check_plans,
                 self.telemetry_path,
                 self.workload_seed,
                 worker_snapshot_dir,

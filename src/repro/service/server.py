@@ -37,23 +37,13 @@ event.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..drift.canary import CanarySettings
 
-from ..config import (
-    ConfigError,
-    SimConfig,
-    service_deadline_ms_from_env,
-    service_fsync_from_env,
-    service_journal_from_env,
-    service_queue_depth_from_env,
-    service_reservoir_from_env,
-    service_snapshot_dir_from_env,
-    service_snapshot_every_from_env,
-)
+from ..config import ConfigError, SimConfig
 from ..errors import (
     DeadlineExceeded,
     ReproError,
@@ -91,11 +81,15 @@ def default_workload_resolver(seed: int = 0) -> Callable[[str], Workload]:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Serving-discipline knobs (env-backed where a knob exists)."""
+    """Serving-discipline knobs."""
 
-    queue_depth: int = field(default_factory=service_queue_depth_from_env)
-    deadline_ms: int = field(default_factory=service_deadline_ms_from_env)
-    reservoir_capacity: int = field(default_factory=service_reservoir_from_env)
+    # Requests beyond this queue bound are shed (ServiceOverload).
+    queue_depth: int = 64
+    # Per-request budget covering queue wait plus processing.
+    deadline_ms: int = 2000
+    # Retained samples per (app, input) shard; at or above the stream
+    # length the fold is lossless and served plans match offline.
+    reservoir_capacity: int = 8192
     # Hot-branch pre-filter threshold; 1 admits every sample (lossless).
     hot_threshold: int = 1
     workers: int = 2
@@ -109,14 +103,12 @@ class ServiceConfig:
     synthetic_delay_s: float = 0.0
     seed: int = 0
     # Durability: WAL mirror path and fsync policy, snapshot directory
-    # and cadence (in journaled batches).  Paths default to unset (no
-    # durability) via their env knobs.
-    journal_path: Optional[str] = field(default_factory=service_journal_from_env)
-    fsync: bool = field(default_factory=service_fsync_from_env)
-    snapshot_dir: Optional[str] = field(
-        default_factory=service_snapshot_dir_from_env
-    )
-    snapshot_every: int = field(default_factory=service_snapshot_every_from_env)
+    # and cadence (in journaled batches).  Unset paths mean no
+    # durability.
+    journal_path: Optional[str] = None
+    fsync: bool = False
+    snapshot_dir: Optional[str] = None
+    snapshot_every: int = 16
 
     def __post_init__(self) -> None:
         if self.queue_depth <= 0:

@@ -12,24 +12,7 @@ from repro.config import (
     SimConfig,
     TwigConfig,
     default_sweep_sim_mode,
-    drift_canary_fraction_from_env,
-    drift_canary_from_env,
-    drift_threshold_from_env,
-    drift_window_from_env,
-    drift_windows_from_env,
-    fleet_autoscale_from_env,
-    fleet_replicas_from_env,
-    fleet_workers_from_env,
     is_power_of_two,
-    service_deadline_ms_from_env,
-    service_fsync_from_env,
-    service_http_host_from_env,
-    service_http_port_from_env,
-    service_journal_from_env,
-    service_queue_depth_from_env,
-    service_reservoir_from_env,
-    service_snapshot_dir_from_env,
-    service_snapshot_every_from_env,
 )
 from repro.errors import ConfigError
 
@@ -144,268 +127,24 @@ class TestHelpers:
         assert is_power_of_two(v) is expected
 
 
-class TestServiceKnobs:
-    """Typed env knobs for the continuous-profiling plan service."""
-
-    @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
-        for name in (
-            "REPRO_SERVICE_QUEUE_DEPTH",
-            "REPRO_SERVICE_DEADLINE_MS",
-            "REPRO_SERVICE_RESERVOIR",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        return monkeypatch
+class TestComponentDefaults:
+    """The service, fleet and canary settings' documented defaults."""
 
     def test_defaults(self):
-        assert service_queue_depth_from_env() == 64
-        assert service_deadline_ms_from_env() == 2000
-        assert service_reservoir_from_env() == 8192
-
-    def test_valid_values(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_QUEUE_DEPTH", "8")
-        clean_env.setenv("REPRO_SERVICE_DEADLINE_MS", "500")
-        clean_env.setenv("REPRO_SERVICE_RESERVOIR", "1024")
-        assert service_queue_depth_from_env() == 8
-        assert service_deadline_ms_from_env() == 500
-        assert service_reservoir_from_env() == 1024
-
-    @pytest.mark.parametrize(
-        "name,reader",
-        [
-            ("REPRO_SERVICE_QUEUE_DEPTH", service_queue_depth_from_env),
-            ("REPRO_SERVICE_DEADLINE_MS", service_deadline_ms_from_env),
-            ("REPRO_SERVICE_RESERVOIR", service_reservoir_from_env),
-        ],
-    )
-    @pytest.mark.parametrize("bad", ["0", "-5", "lots", "1.5"])
-    def test_invalid_rejected(self, clean_env, name, reader, bad):
-        clean_env.setenv(name, bad)
-        with pytest.raises(ConfigError, match=name):
-            reader()
-
-    def test_service_config_defaults_read_env(self, clean_env):
-        from repro.service.server import ServiceConfig
-
-        clean_env.setenv("REPRO_SERVICE_QUEUE_DEPTH", "3")
-        clean_env.setenv("REPRO_SERVICE_DEADLINE_MS", "123")
-        clean_env.setenv("REPRO_SERVICE_RESERVOIR", "77")
-        cfg = ServiceConfig()
-        assert cfg.queue_depth == 3
-        assert cfg.deadline_ms == 123
-        assert cfg.reservoir_capacity == 77
-
-
-class TestDurabilityKnobs:
-    """Env knobs for the durability layer and the HTTP transport."""
-
-    @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
-        for name in (
-            "REPRO_SERVICE_SNAPSHOT_DIR",
-            "REPRO_SERVICE_SNAPSHOT_EVERY",
-            "REPRO_SERVICE_JOURNAL",
-            "REPRO_SERVICE_FSYNC",
-            "REPRO_SERVICE_HTTP_HOST",
-            "REPRO_SERVICE_HTTP_PORT",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        return monkeypatch
-
-    def test_defaults(self):
-        assert service_snapshot_dir_from_env() is None
-        assert service_snapshot_every_from_env() == 16
-        assert service_journal_from_env() is None
-        assert service_fsync_from_env() is False
-        assert service_http_host_from_env() == "127.0.0.1"
-        assert service_http_port_from_env() == 0
-
-    def test_paths_pass_through(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_SNAPSHOT_DIR", "/tmp/snaps")
-        clean_env.setenv("REPRO_SERVICE_JOURNAL", "/tmp/wal.jsonl")
-        assert service_snapshot_dir_from_env() == "/tmp/snaps"
-        assert service_journal_from_env() == "/tmp/wal.jsonl"
-
-    def test_blank_paths_mean_disabled(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_SNAPSHOT_DIR", "   ")
-        clean_env.setenv("REPRO_SERVICE_JOURNAL", "")
-        assert service_snapshot_dir_from_env() is None
-        assert service_journal_from_env() is None
-
-    def test_snapshot_cadence(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_SNAPSHOT_EVERY", "4")
-        assert service_snapshot_every_from_env() == 4
-        clean_env.setenv("REPRO_SERVICE_SNAPSHOT_EVERY", "0")
-        with pytest.raises(ConfigError, match="SNAPSHOT_EVERY"):
-            service_snapshot_every_from_env()
-
-    @pytest.mark.parametrize(
-        "raw,expected", [("1", True), ("yes", True), ("0", False), ("off", False)]
-    )
-    def test_fsync_flag(self, clean_env, raw, expected):
-        clean_env.setenv("REPRO_SERVICE_FSYNC", raw)
-        assert service_fsync_from_env() is expected
-
-    def test_fsync_garbage_rejected(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_FSYNC", "maybe")
-        with pytest.raises(ConfigError, match="FSYNC"):
-            service_fsync_from_env()
-
-    def test_http_host(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_HTTP_HOST", "0.0.0.0")
-        assert service_http_host_from_env() == "0.0.0.0"
-
-    def test_http_port_accepts_zero_and_range(self, clean_env):
-        clean_env.setenv("REPRO_SERVICE_HTTP_PORT", "0")
-        assert service_http_port_from_env() == 0
-        clean_env.setenv("REPRO_SERVICE_HTTP_PORT", "8080")
-        assert service_http_port_from_env() == 8080
-        for bad in ("-1", "65536", "http"):
-            clean_env.setenv("REPRO_SERVICE_HTTP_PORT", bad)
-            with pytest.raises(ConfigError, match="HTTP_PORT"):
-                service_http_port_from_env()
-
-    def test_service_config_reads_durability_env(self, clean_env, tmp_path):
-        from repro.service.server import ServiceConfig
-
-        clean_env.setenv("REPRO_SERVICE_JOURNAL", str(tmp_path / "wal.jsonl"))
-        clean_env.setenv("REPRO_SERVICE_SNAPSHOT_DIR", str(tmp_path / "snaps"))
-        clean_env.setenv("REPRO_SERVICE_SNAPSHOT_EVERY", "7")
-        clean_env.setenv("REPRO_SERVICE_FSYNC", "1")
-        cfg = ServiceConfig()
-        assert cfg.journal_path == str(tmp_path / "wal.jsonl")
-        assert cfg.snapshot_dir == str(tmp_path / "snaps")
-        assert cfg.snapshot_every == 7
-        assert cfg.fsync is True
-
-
-class TestFleetKnobs:
-    """Typed env knobs for the sharded multi-process fleet."""
-
-    @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
-        for name in (
-            "REPRO_FLEET_WORKERS",
-            "REPRO_FLEET_REPLICAS",
-            "REPRO_FLEET_AUTOSCALE",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        return monkeypatch
-
-    def test_defaults(self):
-        assert fleet_workers_from_env() == 2
-        assert fleet_replicas_from_env() == 1
-        assert fleet_autoscale_from_env() is False
-
-    def test_valid_values(self, clean_env):
-        clean_env.setenv("REPRO_FLEET_WORKERS", "4")
-        clean_env.setenv("REPRO_FLEET_REPLICAS", "2")
-        clean_env.setenv("REPRO_FLEET_AUTOSCALE", "yes")
-        assert fleet_workers_from_env() == 4
-        assert fleet_replicas_from_env() == 2
-        assert fleet_autoscale_from_env() is True
-
-    @pytest.mark.parametrize(
-        "name,reader",
-        [
-            ("REPRO_FLEET_WORKERS", fleet_workers_from_env),
-            ("REPRO_FLEET_REPLICAS", fleet_replicas_from_env),
-        ],
-    )
-    @pytest.mark.parametrize("bad", ["0", "-5", "lots", "1.5"])
-    def test_invalid_ints_rejected(self, clean_env, name, reader, bad):
-        clean_env.setenv(name, bad)
-        with pytest.raises(ConfigError, match=name):
-            reader()
-
-    @pytest.mark.parametrize("bad", ["maybe", "2", "yep"])
-    def test_invalid_autoscale_flag_rejected(self, clean_env, bad):
-        clean_env.setenv("REPRO_FLEET_AUTOSCALE", bad)
-        with pytest.raises(ConfigError, match="REPRO_FLEET_AUTOSCALE"):
-            fleet_autoscale_from_env()
-
-    def test_fleet_config_defaults_read_env(self, clean_env):
-        from repro.service.fleet import FleetConfig
-
-        clean_env.setenv("REPRO_FLEET_WORKERS", "3")
-        clean_env.setenv("REPRO_FLEET_REPLICAS", "2")
-        clean_env.setenv("REPRO_FLEET_AUTOSCALE", "on")
-        cfg = FleetConfig()
-        assert cfg.workers == 3
-        assert cfg.replicas == 2
-        assert cfg.autoscale is True
-
-
-class TestDriftKnobs:
-    """Typed env knobs for the drift engine's canary controller."""
-
-    @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
-        for name in (
-            "REPRO_DRIFT_CANARY",
-            "REPRO_DRIFT_CANARY_FRACTION",
-            "REPRO_DRIFT_WINDOW",
-            "REPRO_DRIFT_WINDOWS",
-            "REPRO_DRIFT_THRESHOLD",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        return monkeypatch
-
-    def test_defaults(self):
-        # Canarying is opt-in: the default service behaviour (activate
-        # every build immediately) is what the parity suites pin.
-        assert drift_canary_from_env() is False
-        assert drift_canary_fraction_from_env() == 0.5
-        assert drift_window_from_env() == 64
-        assert drift_windows_from_env() == 2
-        assert drift_threshold_from_env() == 0.1
-
-    def test_valid_values(self, clean_env):
-        clean_env.setenv("REPRO_DRIFT_CANARY", "yes")
-        clean_env.setenv("REPRO_DRIFT_CANARY_FRACTION", "0.25")
-        clean_env.setenv("REPRO_DRIFT_WINDOW", "16")
-        clean_env.setenv("REPRO_DRIFT_WINDOWS", "3")
-        clean_env.setenv("REPRO_DRIFT_THRESHOLD", "0.05")
-        assert drift_canary_from_env() is True
-        assert drift_canary_fraction_from_env() == 0.25
-        assert drift_window_from_env() == 16
-        assert drift_windows_from_env() == 3
-        assert drift_threshold_from_env() == 0.05
-
-    @pytest.mark.parametrize(
-        "name,reader,bad",
-        [
-            ("REPRO_DRIFT_CANARY", drift_canary_from_env, "maybe"),
-            # Fraction must leave both arms observable: [0.01, 0.99].
-            ("REPRO_DRIFT_CANARY_FRACTION", drift_canary_fraction_from_env, "0"),
-            ("REPRO_DRIFT_CANARY_FRACTION", drift_canary_fraction_from_env, "1"),
-            ("REPRO_DRIFT_CANARY_FRACTION", drift_canary_fraction_from_env, "lots"),
-            ("REPRO_DRIFT_WINDOW", drift_window_from_env, "0"),
-            ("REPRO_DRIFT_WINDOW", drift_window_from_env, "1.5"),
-            ("REPRO_DRIFT_WINDOWS", drift_windows_from_env, "-1"),
-            ("REPRO_DRIFT_THRESHOLD", drift_threshold_from_env, "1.5"),
-            ("REPRO_DRIFT_THRESHOLD", drift_threshold_from_env, "-0.1"),
-        ],
-    )
-    def test_invalid_rejected(self, clean_env, name, reader, bad):
-        clean_env.setenv(name, bad)
-        with pytest.raises(ConfigError, match=name):
-            reader()
-
-    def test_canary_settings_defaults_read_env(self, clean_env):
         from repro.drift.canary import CanarySettings
+        from repro.service.fleet import FleetConfig
+        from repro.service.server import ServiceConfig
 
-        clean_env.setenv("REPRO_DRIFT_CANARY", "1")
-        clean_env.setenv("REPRO_DRIFT_CANARY_FRACTION", "0.3")
-        clean_env.setenv("REPRO_DRIFT_WINDOW", "8")
-        clean_env.setenv("REPRO_DRIFT_WINDOWS", "4")
-        clean_env.setenv("REPRO_DRIFT_THRESHOLD", "0.2")
-        settings = CanarySettings()
-        assert settings.enabled is True
-        assert settings.fraction == 0.3
-        assert settings.window == 8
-        assert settings.windows == 4
-        assert settings.threshold == 0.2
+        service = ServiceConfig()
+        assert (service.queue_depth, service.deadline_ms,
+                service.reservoir_capacity) == (64, 2000, 8192)
+        assert (service.journal_path, service.fsync, service.snapshot_dir,
+                service.snapshot_every) == (None, False, None, 16)
+        fleet = FleetConfig()
+        assert (fleet.workers, fleet.replicas, fleet.autoscale) == (2, 1, False)
+        canary = CanarySettings()
+        assert (canary.enabled, canary.fraction, canary.window,
+                canary.windows, canary.threshold) == (False, 0.5, 64, 2, 0.1)
 
 
 class TestSweepSimModeDefault:

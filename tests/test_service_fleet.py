@@ -20,9 +20,10 @@ from repro.config import ConfigError, SimConfig
 from repro.core.twig import build_plan
 from repro.errors import FleetError, ServiceOverload, WorkerCrashed
 from repro.service.bench import (
-    ShardedFleetConfig,
+    Chaos,
+    Scenario,
     collect_sample_stream,
-    run_fleet_sharded,
+    run_fleet,
 )
 from repro.service.build import plans_equivalent
 from repro.service.fleet import (
@@ -460,17 +461,15 @@ class TestFleetConfigValidation:
 
 
 # ----------------------------------------------------------------------
-class TestEnvInheritance:
-    def test_spawned_workers_read_service_knobs_from_env(
-        self, monkeypatch, app_streams
+class TestSpawnedWorkers:
+    def test_spawned_workers_run_the_routers_service_config(
+        self, app_streams
     ):
-        """service_config=None + spawn: knobs travel via the environment."""
-        monkeypatch.setenv("REPRO_SERVICE_RESERVOIR", "777")
-        monkeypatch.setenv("REPRO_SERVICE_QUEUE_DEPTH", "33")
+        """spawn: the ServiceConfig travels in the worker's process args."""
         label, _profile, stream = app_streams["wordpress"]
         router = FleetRouter(
             config=FleetConfig(workers=1, min_workers=1, start_method="spawn"),
-            service_config=None,  # worker builds its own from the env
+            service_config=ServiceConfig(reservoir_capacity=777, queue_depth=33),
             sim_config=SIM_CFG,
         )
         router.start()
@@ -494,20 +493,17 @@ class TestFleetChaosParityAllApps:
         parity for every app, plus the JSONL artifacts."""
         journal_path = str(tmp_path / "journal.jsonl")
         decisions_path = str(tmp_path / "decisions.jsonl")
-        cfg = ShardedFleetConfig(
-            apps=app_names(),
-            trace_instructions=12_000,
-            workers=3,
-            replicas=2,
-            batch_size=BATCH,
-            kill_after=4,
-            rebalance_after=8,
-            autoscale=True,
-            autoscale_every=6,
-            seed=7,
-        )
-        report = run_fleet_sharded(
-            cfg, journal_path=journal_path, decisions_path=decisions_path
+        report = run_fleet(
+            Scenario(
+                apps=app_names(),
+                trace_instructions=12_000,
+                batch_size=BATCH,
+                seed=7,
+            ),
+            FleetConfig(workers=3, replicas=2, autoscale=True, seed=7),
+            Chaos(kill_after=4, rebalance_after=8, autoscale_every=6),
+            journal_path=journal_path,
+            decisions_path=decisions_path,
         )
         assert len(report.apps) == len(app_names())
         for app, result in report.apps.items():

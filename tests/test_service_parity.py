@@ -7,23 +7,23 @@ identical to the offline ``collect_profile`` → ``build_plan`` result —
 the online path adds transport, not analysis.
 """
 
-from repro.service.bench import FleetConfig, run_fleet
+from dataclasses import replace
+
+from repro.service.bench import LOSSLESS, Scenario, run_service
 from repro.workloads.apps import app_names
 
 
 def test_fleet_parity_all_apps():
-    cfg = FleetConfig(
-        apps=app_names(),
-        trace_instructions=12_000,
-        batch_size=64,
-        workers=2,
-        # Coalesce background rebuilds: one verified build per shard
-        # (the get_plan read-your-writes build) keeps the test fast.
-        debounce_s=30.0,
-        check_parity=True,
-        check_plans=True,
+    report = run_service(
+        Scenario(apps=app_names(), trace_instructions=12_000, batch_size=64),
+        replace(
+            LOSSLESS,
+            workers=2,
+            # Coalesce background rebuilds: one verified build per shard
+            # (the get_plan read-your-writes build) keeps the test fast.
+            debounce_s=30.0,
+        ),
     )
-    report = run_fleet(cfg)
     assert sorted(report.apps) == sorted(app_names())
     for app, result in sorted(report.apps.items()):
         assert result.stream_samples > 0, f"{app}: no miss samples streamed"
@@ -39,13 +39,9 @@ def test_fleet_parity_all_apps():
 
 def test_fleet_parity_survives_batch_size_choice():
     """Batching is transport framing; it must not affect the plan."""
-    base = dict(
-        apps=("wordpress",),
-        trace_instructions=12_000,
-        workers=1,
-        debounce_s=30.0,
-    )
-    small = run_fleet(FleetConfig(batch_size=7, **base))
-    large = run_fleet(FleetConfig(batch_size=512, **base))
+    base = dict(apps=("wordpress",), trace_instructions=12_000)
+    config = replace(LOSSLESS, workers=1, debounce_s=30.0)
+    small = run_service(Scenario(batch_size=7, **base), config)
+    large = run_service(Scenario(batch_size=512, **base), config)
     assert small.apps["wordpress"].parity is True
     assert large.apps["wordpress"].parity is True

@@ -132,7 +132,7 @@ def main() -> None:
         "numbers.",
         "",
         "Beyond the figures, `benchmarks/test_service_bench.py` (also",
-        "`tools/service_bench.py`) times the continuous-profiling plan",
+        "`python -m repro.service run`) times the continuous-profiling plan",
         "service — streaming ingest, incremental verified builds, overload",
         "shedding — with online==offline plan parity asserted; DESIGN.md §11.",
         "",
