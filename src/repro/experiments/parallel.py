@@ -1,6 +1,6 @@
 """Process-pool fan-out for simulation runs.
 
-:func:`execute_runs` shards a list of :class:`RunRequest`\\ s across a
+:func:`execute_runs` runs a list of :class:`RunRequest`\\ s across a
 ``ProcessPoolExecutor``.  Workers are long-lived: each builds one
 :class:`~repro.experiments.runner.ExperimentRunner` (sharing the
 parent's on-disk cache when enabled), so workloads, traces, and
@@ -8,12 +8,23 @@ profiles are reused across every request a worker receives, and every
 result a worker computes lands in the shared disk cache for later
 processes.
 
-Failure policy: a request whose worker raises is retried once in a
-fresh pool (transient failures: a killed worker, a broken pool, an
-OOM'd child); a request that fails twice resolves to ``None`` and the
-caller — :meth:`ExperimentRunner.warm` — falls back to computing it
-serially in-process, where the real exception surfaces to the user.
-Two exceptions are never retried or swallowed:
+Dispatch is by app.  Building an app's workload costs more than most
+of the simulations that use it, so the requests are grouped into one
+batch per app and each batch is one pool task (:func:`_run_batch`):
+a worker builds, traces and profiles only the apps it is handed.
+When there are fewer apps than workers, the largest batch is split in
+half until every worker has a batch, so a one-app request set still
+uses the whole pool.  Built workloads are never sent to the workers
+instead: pickling one costs about as much as building it.
+
+Failure policy, per request: a request that raises inside its batch
+fails alone (the rest of the batch runs on), and a batch whose worker
+dies sends all of its requests to the retry round.  Failed requests
+are retried once in a fresh pool (transient failures: a killed worker,
+a broken pool, an OOM'd child); a request that fails twice resolves to
+``None`` and the caller — :meth:`ExperimentRunner.warm` — falls back
+to computing it serially in-process, where the real exception surfaces
+to the user.  Two exceptions are never retried or swallowed:
 :class:`~repro.errors.InvariantViolation` (a sanitizer caught a
 correctness bug — rerunning would bury it) and
 :class:`KeyboardInterrupt` both propagate immediately.
@@ -24,7 +35,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig, jobs_from_env
 from ..errors import InvariantViolation, ReproError
@@ -113,6 +124,44 @@ def _run_request(request: RunRequest):
     return result, os.getpid(), delta
 
 
+def _run_batch(requests: Sequence[RunRequest]) -> List[Optional[tuple]]:
+    """Run one batch in order; one :func:`_run_request` outcome per request.
+
+    A request that raises yields ``None`` and the batch runs on, except
+    for :class:`InvariantViolation` (and :class:`KeyboardInterrupt`),
+    which abort the whole fan-out.  ``_run_request`` is looked up at
+    call time, so a wrapper installed on the module reaches the workers.
+    """
+    outcomes: List[Optional[tuple]] = []
+    for request in requests:
+        try:
+            outcomes.append(_run_request(request))
+        except InvariantViolation:
+            raise
+        except Exception:
+            outcomes.append(None)
+    return outcomes
+
+
+_Batch = List[Tuple[int, RunRequest]]
+
+
+def _batches(pending: _Batch, jobs: int) -> List[_Batch]:
+    """Group *pending* by app; split the largest until there are *jobs* batches."""
+    by_app: Dict[str, _Batch] = {}
+    for item in pending:
+        by_app.setdefault(item[1].app, []).append(item)
+    batches = list(by_app.values())
+    while len(batches) < jobs:
+        largest = max(batches, key=len)
+        if len(largest) < 2:
+            break
+        batches.remove(largest)
+        half = (len(largest) + 1) // 2
+        batches += [largest[:half], largest[half:]]
+    return batches
+
+
 def execute_runs(
     settings,
     requests: Sequence[RunRequest],
@@ -120,7 +169,7 @@ def execute_runs(
     cache_dir: Optional[str] = None,
     telemetry=None,
 ) -> List[Optional[SimResult]]:
-    """Execute *requests* across *jobs* worker processes.
+    """Execute *requests* across *jobs* worker processes, one batch per app.
 
     Returns results aligned with *requests*; an entry is ``None`` when
     its request failed after the retry round (or the pool could not be
@@ -137,7 +186,7 @@ def execute_runs(
         return []
     jobs = max(1, min(int(jobs), len(requests)))
     results: List[Optional[SimResult]] = [None] * len(requests)
-    pending = list(enumerate(requests))
+    pending: _Batch = list(enumerate(requests))
     for _round in range(MAX_RETRY_ROUNDS + 1):
         if not pending:
             break
@@ -150,26 +199,32 @@ def execute_runs(
                 initargs=(settings, cache_dir),
             ) as pool:
                 futures = {
-                    pool.submit(_run_request, req): (i, req) for i, req in pending
+                    pool.submit(_run_batch, [req for _, req in batch]): batch
+                    for batch in _batches(pending, jobs)
                 }
-                failed = []
+                failed: _Batch = []
                 for fut in as_completed(futures):
-                    i, req = futures[fut]
+                    batch = futures[fut]
                     try:
-                        result, worker_pid, delta = fut.result()
+                        outcomes = fut.result()
                     except InvariantViolation:
                         # A sanitizer tripped in a worker: retrying (or
                         # silently recomputing without sanitizers in the
                         # serial fallback) would bury a correctness bug.
                         raise
-                    except KeyboardInterrupt:
-                        raise
                     except Exception:
-                        failed.append((i, req))
+                        # The worker died mid-batch (or the pool broke):
+                        # every request of the batch is retried.
+                        failed.extend(batch)
                         continue
-                    results[i] = result
-                    if telemetry is not None:
-                        telemetry.record_worker(worker_pid, delta)
+                    for (i, req), outcome in zip(batch, outcomes):
+                        if outcome is None:
+                            failed.append((i, req))
+                            continue
+                        result, worker_pid, delta = outcome
+                        results[i] = result
+                        if telemetry is not None:
+                            telemetry.record_worker(worker_pid, delta)
         except (OSError, RuntimeError):
             # The pool itself could not start (restricted environment,
             # resource exhaustion, broken executor); leave the rest for

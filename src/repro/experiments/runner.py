@@ -384,8 +384,8 @@ class ExperimentRunner:
 
         *requests* is an iterable of :class:`RunRequest` objects or
         ``(app, system[, input_idx])`` tuples.  With ``jobs > 1`` the
-        missing runs are sharded across a process pool (each worker
-        shares the disk cache, so its work also persists); with
+        missing runs go to a process pool in per-app batches (each
+        worker shares the disk cache, so its work also persists); with
         ``jobs == 1`` — or for any request the pool failed twice — the
         run happens serially in-process.  Returns the results in
         request order.

@@ -45,6 +45,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -528,25 +529,9 @@ class FleetRouter:
         )
         self.sim_config = sim_config
         self.telemetry_path = telemetry_path
-        self.telemetry = (
-            TelemetrySink(telemetry_path) if telemetry_path else None
-        )
-        self.metrics: MetricsRegistry = (
-            self.telemetry.registry if self.telemetry is not None else MetricsRegistry()
-        )
         self.workload_seed = workload_seed
         self.ring = HashRing(
             seed=self.config.seed, vnodes_per_weight=self.config.ring_vnodes
-        )
-        # Resume mode: a router restarted on an existing mirror loads it
-        # (truncating any torn tail) and continues the per-shard index
-        # sequence; plain append mode would restart indices at zero and
-        # corrupt the mirror for every future reader.  On first contact
-        # with a resumed shard, ``_catch_up`` replays the loaded prefix
-        # into the new owner, so restart recovery falls out of the same
-        # path that heals crashed workers.
-        self.journal = IngestJournal(
-            journal_path, fsync=journal_fsync, resume=True
         )
         # Per-worker snapshot root: each worker gets snapshot_dir/<id>,
         # and ids regenerate w0..wN-1 on a fresh router, so a
@@ -555,16 +540,39 @@ class FleetRouter:
         self.snapshot_dir = snapshot_dir
         self.autoscaler = Autoscaler(self.config)
         self.decisions: List[AllocationDecision] = []
-        self._decisions_fh = None
-        if decisions_path:
-            parent = os.path.dirname(os.path.abspath(decisions_path))
-            try:
-                os.makedirs(parent, exist_ok=True)
-                self._decisions_fh = open(decisions_path, "a", encoding="utf-8")
-            except OSError as exc:
-                raise FleetError(
-                    f"cannot open decisions log {decisions_path!r}: {exc}"
-                ) from exc
+        # The router's three logs: a log that cannot be opened closes
+        # the ones opened before it.
+        with ExitStack() as opened:
+            self.telemetry = (
+                TelemetrySink(telemetry_path) if telemetry_path else None
+            )
+            if self.telemetry is not None:
+                opened.callback(self.telemetry.close)
+            # Resume mode: a router restarted on an existing mirror loads it
+            # (truncating any torn tail) and continues the per-shard index
+            # sequence; plain append mode would restart indices at zero and
+            # corrupt the mirror for every future reader.  On first contact
+            # with a resumed shard, ``_catch_up`` replays the loaded prefix
+            # into the new owner, so restart recovery falls out of the same
+            # path that heals crashed workers.
+            self.journal = IngestJournal(
+                journal_path, fsync=journal_fsync, resume=True
+            )
+            opened.callback(self.journal.close)
+            self._decisions_fh = None
+            if decisions_path:
+                parent = os.path.dirname(os.path.abspath(decisions_path))
+                try:
+                    os.makedirs(parent, exist_ok=True)
+                    self._decisions_fh = open(decisions_path, "a", encoding="utf-8")
+                except OSError as exc:
+                    raise FleetError(
+                        f"cannot open decisions log {decisions_path!r}: {exc}"
+                    ) from exc
+            opened.pop_all()
+        self.metrics: MetricsRegistry = (
+            self.telemetry.registry if self.telemetry is not None else MetricsRegistry()
+        )
         method = self.config.start_method
         if method == "auto":
             method = (

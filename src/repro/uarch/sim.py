@@ -19,7 +19,7 @@ not modelled (documented substitution, DESIGN.md §2).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..config import SimConfig, sim_mode_from_env
 from ..errors import SimulationError
@@ -111,16 +111,10 @@ class FrontendSimulator:
             attach_san = getattr(self.btb_system, "attach_sanitizer", None)
             if attach_san is not None:
                 attach_san(self.sanitizer)
-        fw = self.config.core.fetch_width_bytes
-        self._fetch_cycles: List[int] = [
-            max(1, (size + fw - 1) // fw) for size in workload.block_size
-        ]
+        self._fetch_cycles = workload.fetch_cycles(self.config.core.fetch_width_bytes)
         # Steady-state assumption: a long-running server's text is
         # L2/L3-resident (see MemoryHierarchy.prewarm).
-        all_lines = set()
-        for lines in workload.block_lines:
-            all_lines.update(lines)
-        self.hierarchy.prewarm(sorted(all_lines))
+        self.hierarchy.prewarm(workload.text_lines)
 
     # ------------------------------------------------------------------
     def fast_block_reason(self) -> Optional[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
@@ -156,6 +157,28 @@ class Workload:
                 self.alt_target_blocks.append(
                     tuple(self._block_by_start[t] for t in br.alt_targets)
                 )
+        self._fetch_cycles: Dict[int, Tuple[int, ...]] = {}
+
+    def fetch_cycles(self, fetch_width_bytes: int) -> Tuple[int, ...]:
+        """Fetch cycles (``fetch_width_bytes`` units) per block, at least 1.
+
+        Computed once per width and shared read-only by every simulator
+        built over this workload.
+        """
+        cycles = self._fetch_cycles.get(fetch_width_bytes)
+        if cycles is None:
+            fw = fetch_width_bytes
+            cycles = tuple(max(1, (size + fw - 1) // fw) for size in self.block_size)
+            self._fetch_cycles[fw] = cycles
+        return cycles
+
+    @cached_property
+    def text_lines(self) -> Tuple[int, ...]:
+        """Every cache line some block touches, ascending; computed once."""
+        lines = set()
+        for block_lines in self.block_lines:
+            lines.update(block_lines)
+        return tuple(sorted(lines))
 
     def block_index_at(self, start_addr: int) -> int:
         """Block index whose start address is *start_addr*."""

@@ -1,6 +1,7 @@
-"""Process-pool fan-out: request coercion, retries, serial fallback."""
+"""Process-pool fan-out: request coercion, per-app dispatch, retries, serial fallback."""
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -11,9 +12,27 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunRequest, execute_runs
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.profiling.serialize import result_to_dict
+from repro.telemetry import TelemetrySink, read_events
 from repro.uarch.results import SimResult
 
 SETTINGS = RunnerSettings(trace_instructions=30_000, apps=("wordpress",), sample_rate=1)
+TWO_APPS = RunnerSettings(
+    trace_instructions=30_000, apps=("wordpress", "drupal"), sample_rate=1
+)
+
+
+def _labels(requests):
+    """The result labels *requests* get on the default test input (1)."""
+    return [f"{q.app}/{q.system}#1" for q in requests]
+
+
+def _worker_pids(sink):
+    """Pids the parent merged a worker result from, with their request counts."""
+    return {
+        int(name.split(".")[1]): n
+        for name, n in sink.registry.counters.items()
+        if name.startswith("worker.") and name.endswith(".requests")
+    }
 
 
 class TestRunRequest:
@@ -63,6 +82,94 @@ class TestExecuteRuns:
         reread = reader.run("wordpress", "baseline")
         assert reader.stats.simulations == 0
         assert result_to_dict(reread) == result_to_dict(results[0])
+
+
+class TestPerAppDispatch:
+    """Each app's requests go to one worker, so each workload is built once."""
+
+    @pytest.mark.slow
+    def test_each_app_built_once(self, tmp_path, monkeypatch):
+        log = str(tmp_path / "telemetry.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", log)
+        requests = [
+            RunRequest(app, system)
+            for system in ("baseline", "ideal_btb", "ideal_icache")
+            for app in ("wordpress", "drupal")
+        ]
+        results = execute_runs(TWO_APPS, requests, jobs=2)
+        assert [r.label for r in results] == _labels(requests)
+        builds = [
+            e for e in read_events(log)
+            if e["event"] == "span" and e["phase"] == "workload_build"
+        ]
+        assert sorted(e["app"] for e in builds) == ["drupal", "wordpress"]
+        for app in ("wordpress", "drupal"):
+            assert len({e["pid"] for e in builds if e["app"] == app}) == 1
+
+    @pytest.mark.slow
+    def test_one_app_is_split_across_the_pool(self, tmp_path):
+        sink = TelemetrySink(str(tmp_path / "telemetry.jsonl"))
+        systems = ("baseline", "ideal_btb", "ideal_icache", "shotgun", "confluence")
+        requests = [RunRequest("wordpress", system) for system in systems]
+        results = execute_runs(SETTINGS, requests, jobs=2, telemetry=sink)
+        sink.close()
+        assert [r.label for r in results] == _labels(requests)
+        assert sorted(_worker_pids(sink).values()) == [2, 3]
+
+    @pytest.mark.slow
+    def test_failed_request_fails_alone_in_its_batch(self):
+        requests = [
+            RunRequest("wordpress", "baseline"),
+            RunRequest("wordpress", "no-such-system"),
+            RunRequest("drupal", "baseline"),
+            RunRequest("wordpress", "ideal_btb"),
+        ]
+        results = execute_runs(TWO_APPS, requests, jobs=2)
+        assert results[1] is None
+        kept = [0, 2, 3]
+        assert [results[i].label for i in kept] == _labels(
+            [requests[i] for i in kept]
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="monkeypatched worker fns only propagate to forked children",
+    )
+    def test_dead_worker_batch_comes_back_from_retry(self, tmp_path, monkeypatch):
+        # The worker running wordpress's batch dies after its first
+        # request on the first attempt: the result it computed is lost
+        # with it, so the whole batch must come back from the retry round.
+        marker = str(tmp_path / "died")
+        real = parallel._run_request
+
+        def exit_once(request):
+            if request.system == "ideal_btb":
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    pass
+                else:
+                    os.write(fd, str(os.getpid()).encode())
+                    os.close(fd)
+                    os._exit(3)
+            return real(request)
+
+        monkeypatch.setattr(parallel, "_run_request", exit_once)
+        sink = TelemetrySink(str(tmp_path / "telemetry.jsonl"))
+        requests = [
+            RunRequest("wordpress", "baseline"),
+            RunRequest("wordpress", "ideal_btb"),
+            RunRequest("wordpress", "ideal_icache"),
+            RunRequest("drupal", "baseline"),
+        ]
+        results = execute_runs(TWO_APPS, requests, jobs=2, telemetry=sink)
+        sink.close()
+        assert [r.label for r in results] == _labels(requests)
+        with open(marker, encoding="utf-8") as fh:
+            dead = int(fh.read())
+        assert dead not in _worker_pids(sink)
+        assert sink.registry.counters["parallel.retries"] >= 3
 
 
 def _noop_init(settings, cache_dir):

@@ -19,6 +19,7 @@ import pytest
 from repro.config import ConfigError, SimConfig
 from repro.core.twig import build_plan
 from repro.errors import FleetError, ServiceOverload, WorkerCrashed
+from repro.service import fleet
 from repro.service.bench import (
     Chaos,
     Scenario,
@@ -33,8 +34,9 @@ from repro.service.fleet import (
     FleetConfig,
     FleetRouter,
 )
-from repro.service.journal import read_journal
+from repro.service.journal import IngestJournal, read_journal
 from repro.service.server import ServiceConfig, default_workload_resolver
+from repro.telemetry.events import TelemetrySink
 from repro.trace.walker import generate_trace
 from repro.workloads.apps import app_names
 
@@ -458,6 +460,38 @@ class TestFleetConfigValidation:
         round_tripped = json.loads(json.dumps(decision.to_record()))
         assert round_tripped["tick"] == 3
         assert round_tripped["action"] == "grow"
+
+
+# ----------------------------------------------------------------------
+class TestRouterConstructor:
+    def test_unopenable_decisions_log_closes_the_other_logs(
+        self, tmp_path, monkeypatch
+    ):
+        # The decisions log is opened last; when it cannot be opened the
+        # telemetry log and journal mirror opened before it must close.
+        opened = []
+
+        def recording(cls):
+            class Recording(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    opened.append(self)
+
+            return Recording
+
+        monkeypatch.setattr(fleet, "TelemetrySink", recording(TelemetrySink))
+        monkeypatch.setattr(fleet, "IngestJournal", recording(IngestJournal))
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        with pytest.raises(FleetError, match="cannot open decisions log"):
+            FleetRouter(
+                telemetry_path=str(tmp_path / "telemetry.jsonl"),
+                journal_path=str(tmp_path / "journal.jsonl"),
+                decisions_path=str(blocker / "decisions.jsonl"),
+            )
+        sink, journal = opened
+        assert isinstance(sink, TelemetrySink) and sink._fh.closed
+        assert isinstance(journal, IngestJournal) and journal._fh is None
 
 
 # ----------------------------------------------------------------------
