@@ -23,47 +23,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def sanitize_from_env() -> bool:
-    """Default for :attr:`SimConfig.sanitize`, read from ``REPRO_SANITIZE``.
-
-    Evaluated at config *construction* time, so setting the variable
-    (or passing ``--sanitize`` to the CLI, which sets it) turns checks
-    on for every subsequently built default config — including the ones
-    parallel workers build in their own processes.
-    """
-    return bool_from_env("REPRO_SANITIZE")
-
-
-def telemetry_path_from_env() -> Optional[str]:
-    """Telemetry JSONL log path from ``REPRO_TELEMETRY``, or ``None``.
-
-    Like :func:`sanitize_from_env`, this is evaluated when the consumer
-    is built (an :class:`~repro.experiments.runner.ExperimentRunner` or
-    a parallel worker), so setting the variable — or passing
-    ``--telemetry PATH`` to the CLI, which sets it — enables telemetry
-    for every subsequently created runner, including the ones parallel
-    workers build in their own processes.
-    """
-    raw = os.environ.get("REPRO_TELEMETRY", "").strip()
-    if not raw:
-        return None
-    if os.path.isdir(raw):
-        raise ConfigError(
-            f"REPRO_TELEMETRY must name a file, got directory {raw!r}"
-        )
-    return raw
-
-
-def bool_from_env(name: str) -> bool:
-    """Read a boolean flag knob (``1/true/yes/on`` vs ``0/false/no/off``)."""
-    raw = os.environ.get(name, "").strip().lower()
-    if raw in ("", "0", "false", "no", "off"):
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    raise ConfigError(f"{name} must be a boolean flag, got {raw!r}")
-
-
 def int_from_env(name: str, default: int) -> int:
     """Read a positive integer knob; reject garbage loudly."""
     raw = os.environ.get(name)
@@ -120,8 +79,7 @@ def results_dir_from_env() -> str:
 def no_cache_from_env() -> bool:
     """Disk-cache kill switch from ``REPRO_NO_CACHE``.
 
-    Historical contract (PR 1): any non-empty value except ``0``
-    disables the cache — looser than :func:`bool_from_env` on purpose.
+    Any non-empty value except ``0`` disables the cache.
     """
     return os.environ.get("REPRO_NO_CACHE", "").strip() not in ("", "0")
 
@@ -134,52 +92,6 @@ def cache_dir_from_env() -> Optional[str]:
     with :class:`~repro.experiments.cache.ResultCache`, not here.
     """
     return os.environ.get("REPRO_CACHE_DIR", "").strip() or None
-
-
-def check_plans_from_env() -> bool:
-    """Default for the runner's plan verification (``REPRO_CHECK_PLANS``).
-
-    When on, :meth:`~repro.experiments.runner.ExperimentRunner.plan`
-    statically verifies every plan it builds (``repro.staticcheck``)
-    and raises on error-severity findings.  Set by the CLI's
-    ``--check-plans`` so parallel workers inherit it.
-    """
-    return bool_from_env("REPRO_CHECK_PLANS")
-
-
-def sim_mode_from_env() -> str:
-    """Simulation-mode default from ``REPRO_SIM_MODE``.
-
-    ``auto`` (the default) uses the batched fast path whenever a run is
-    eligible and falls back to the serial loop otherwise; ``fast``
-    demands the batched path (raising when a run needs serial-only
-    machinery); ``serial`` pins the original per-event loop.  Evaluated
-    at simulator construction, so the CLI's ``--sim-mode`` (which sets
-    the variable) reaches parallel workers through their environment.
-    """
-    raw = os.environ.get("REPRO_SIM_MODE", "").strip().lower()
-    if not raw:
-        return "auto"
-    if raw in ("auto", "fast", "serial"):
-        return raw
-    raise ConfigError(
-        f"REPRO_SIM_MODE must be auto, fast, or serial, got {raw!r}"
-    )
-
-
-def default_sweep_sim_mode() -> Optional[str]:
-    """The sim mode experiment sweeps should install when none is set.
-
-    Sweeps default to the batched fast path — the parity suite pins it
-    counter-for-counter against serial, and profiling runs pin
-    ``mode="serial"`` at their own call sites — except under
-    ``REPRO_SANITIZE``, where ``auto`` keeps the serial-only sanitizer
-    runnable.  Returns ``None`` when ``REPRO_SIM_MODE`` is already set
-    (explicit choices, including the ``serial`` opt-out, always win).
-    """
-    if os.environ.get("REPRO_SIM_MODE"):
-        return None
-    return "auto" if sanitize_from_env() else "fast"
 
 
 def is_power_of_two(value: int) -> bool:
@@ -360,7 +272,7 @@ class SimConfig:
     # Never changes simulation outcomes — sanitized and plain runs of
     # the same point are counter-for-counter identical — but the cache
     # key still includes it so the two populations stay separate.
-    sanitize: bool = field(default_factory=sanitize_from_env)
+    sanitize: bool = False
 
     def with_btb(self, entries: Optional[int] = None, ways: Optional[int] = None) -> "SimConfig":
         """Return a copy with a resized BTB (used by the sweep figures)."""
@@ -391,7 +303,4 @@ class SimConfig:
         return replace(self, sanitize=enabled)
 
 
-# Fixed reference config: built with sanitize pinned off so importing
-# the package never depends on (or crashes on) REPRO_SANITIZE; the env
-# default applies only to configs constructed after import.
-DEFAULT_CONFIG = SimConfig(sanitize=False)
+DEFAULT_CONFIG = SimConfig()

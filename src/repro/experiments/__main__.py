@@ -13,8 +13,11 @@ Usage::
 
 ``--jobs``/``--cache-dir`` default to the ``REPRO_JOBS`` /
 ``REPRO_CACHE_DIR`` environment knobs; results persist under
-``.repro_cache/`` unless ``--no-cache`` is given.  ``--telemetry PATH``
-(equivalent to ``REPRO_TELEMETRY=PATH``) appends structured JSONL
+``.repro_cache/`` unless ``--no-cache`` is given.  ``--sanitize``,
+``--check-plans`` and ``--telemetry PATH`` set the matching
+:class:`~repro.experiments.runner.RunnerSettings` fields, which the
+pool workers receive with the rest of the settings; nothing is written
+to the environment.  ``--telemetry PATH`` appends structured JSONL
 events — phase spans, cache traffic, worker activity — which
 ``telemetry-report`` turns into a wall-time/cache/worker breakdown.
 The plan service has its own command line, ``python -m repro.service``.
@@ -23,16 +26,10 @@ The plan service has its own command line, ``python -m repro.service``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 
-from ..config import (
-    cache_dir_from_env,
-    default_sweep_sim_mode,
-    sanitize_from_env,
-    sim_mode_from_env,
-    telemetry_path_from_env,
-)
+from ..config import cache_dir_from_env
 from ..errors import ReproError
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .parallel import resolve_jobs
@@ -70,64 +67,23 @@ def main(argv=None) -> int:
         "--sanitize",
         action="store_true",
         help="enable runtime invariant checks in every simulation "
-        "(equivalent to REPRO_SANITIZE=1; results are cached separately)",
-    )
-    parser.add_argument(
-        "--sim-mode",
-        choices=("auto", "fast", "serial"),
-        default=None,
-        help="simulator run-loop selection (equivalent to REPRO_SIM_MODE; "
-        "sweeps default to the batched fast path, parity-pinned against "
-        "serial — pass serial to opt out)",
+        "(results are cached separately)",
     )
     parser.add_argument(
         "--telemetry",
         default=None,
         metavar="PATH",
         help="append structured JSONL telemetry events to PATH "
-        "(equivalent to REPRO_TELEMETRY=PATH; workers inherit it)",
+        "(pool workers append to the same log)",
     )
     parser.add_argument(
         "--check-plans",
         action="store_true",
         help="statically verify every Twig plan before simulating it "
-        "(repro.staticcheck; equivalent to REPRO_CHECK_PLANS=1)",
+        "(repro.staticcheck)",
     )
     args = parser.parse_args(argv)
 
-    if args.sanitize:
-        # Via the environment so parallel workers inherit it and every
-        # default-constructed SimConfig in this process picks it up.
-        os.environ["REPRO_SANITIZE"] = "1"
-    installed_default_mode = False
-    if args.sim_mode:
-        os.environ["REPRO_SIM_MODE"] = args.sim_mode
-    else:
-        # Default sweeps run on the batched fast path (auto under the
-        # serial-only sanitizer); see default_sweep_sim_mode.  Via the
-        # environment so parallel workers inherit the choice — but
-        # only for this invocation: unlike the explicit flags above,
-        # nobody asked for the default, so it must not outlive main()
-        # (in-process callers, e.g. the test suite, share os.environ).
-        default_mode = default_sweep_sim_mode()
-        if default_mode is not None:
-            os.environ["REPRO_SIM_MODE"] = default_mode
-            installed_default_mode = True
-    if args.telemetry:
-        # Same pattern: the env is what parallel workers inherit.
-        os.environ["REPRO_TELEMETRY"] = args.telemetry
-    if args.check_plans:
-        os.environ["REPRO_CHECK_PLANS"] = "1"
-
-    try:
-        return _run(args)
-    finally:
-        if installed_default_mode:
-            os.environ.pop("REPRO_SIM_MODE", None)
-
-
-def _run(args) -> int:
-    """Everything after env setup: dispatch and run the experiments."""
     if args.experiments and args.experiments[0] == "telemetry-report":
         return _telemetry_report(args)
 
@@ -143,11 +99,12 @@ def _run(args) -> int:
         return 2
 
     try:
-        # Validate eagerly so a garbage REPRO_SANITIZE / REPRO_SIM_MODE
-        # is a clean exit-2 here rather than a ConfigError mid-experiment.
-        sanitize_from_env()
-        sim_mode_from_env()
-        settings = RunnerSettings.from_env()
+        settings = replace(
+            RunnerSettings.from_env(),
+            sanitize=args.sanitize,
+            check_plans=args.check_plans,
+            telemetry_path=args.telemetry,
+        )
         jobs = resolve_jobs(args.jobs)
         if args.no_cache:
             cache = None
@@ -200,11 +157,11 @@ def _telemetry_report(args) -> int:
     if len(rest) > 1:
         print("telemetry-report takes at most one PATH argument", file=sys.stderr)
         return 2
-    path = rest[0] if rest else (args.telemetry or telemetry_path_from_env())
+    path = rest[0] if rest else args.telemetry
     if not path:
         print(
-            "telemetry-report needs a log path: pass it as an argument, "
-            "via --telemetry, or via REPRO_TELEMETRY",
+            "telemetry-report needs a log path: pass it as an argument "
+            "or via --telemetry",
             file=sys.stderr,
         )
         return 2

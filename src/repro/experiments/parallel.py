@@ -2,8 +2,8 @@
 
 :func:`execute_runs` runs a list of :class:`RunRequest`\\ s across a
 ``ProcessPoolExecutor``.  Workers are long-lived: each builds one
-:class:`~repro.experiments.runner.ExperimentRunner` (sharing the
-parent's on-disk cache when enabled), so workloads, traces, and
+:class:`~repro.experiments.runner.ExperimentRunner` from the parent's
+settings (sharing its on-disk cache when enabled), so workloads, traces, and
 profiles are reused across every request a worker receives, and every
 result a worker computes lands in the shared disk cache for later
 processes.
@@ -95,9 +95,10 @@ def _init_worker(settings, cache_dir: Optional[str]) -> None:
     from .runner import ExperimentRunner
 
     cache = ResultCache(cache_dir) if cache_dir else None
-    # The worker's runner picks up telemetry from the inherited
-    # REPRO_TELEMETRY environment: its phase spans append to the same
-    # JSONL log as the parent's (whole-line appends interleave safely).
+    # *settings* is the parent's RunnerSettings value, so the worker
+    # sanitizes, verifies plans and logs telemetry exactly as the parent
+    # does; its phase spans append to the parent's JSONL log (whole-line
+    # appends interleave safely).
     _WORKER_RUNNER = ExperimentRunner(settings, cache=cache, jobs=1)
     if _WORKER_RUNNER.telemetry is not None:
         _WORKER_RUNNER.telemetry.emit("worker_start")

@@ -11,8 +11,20 @@ persist across processes, and can fan simulation runs out across a
 process pool via :meth:`ExperimentRunner.warm` (see
 :mod:`repro.experiments.parallel`).
 
-Environment knobs (read once, at first use; invalid values raise
-:class:`~repro.errors.ReproError`):
+A run's settings are one :class:`RunnerSettings` value.  Pool
+workers receive that value, so a setting reaches them without touching
+the environment.  Beyond the trace and sampling fields it carries:
+
+* ``sanitize`` — run every simulation and profile with runtime
+  invariant checks (``SimConfig.sanitize``; CLI ``--sanitize``);
+* ``check_plans`` — statically verify every built plan with
+  :mod:`repro.staticcheck` and refuse error-severity findings (CLI
+  ``--check-plans``);
+* ``telemetry_path`` — append JSONL telemetry to this log (CLI
+  ``--telemetry``; see :mod:`repro.telemetry`).
+
+Environment knobs (read by :meth:`RunnerSettings.from_env` and the
+cache/jobs helpers; invalid values raise :class:`~repro.errors.ReproError`):
 
 * ``REPRO_TRACE_INSTRUCTIONS`` — trace length per run (default 1e6).
 * ``REPRO_APPS`` — comma-separated subset of apps (default: all nine).
@@ -22,26 +34,22 @@ Environment knobs (read once, at first use; invalid values raise
   kill switch (default ``.repro_cache/``, used by the process-wide
   runner and the CLI; directly constructed runners default to no disk
   cache).
-* ``REPRO_TELEMETRY`` — JSONL telemetry log path (default: telemetry
-  off; see :mod:`repro.telemetry`).
-* ``REPRO_CHECK_PLANS`` — statically verify every built plan with
-  :mod:`repro.staticcheck` and refuse error-severity findings
-  (default: off; see the ``--check-plans`` CLI flag).
 
 All knobs are read through the typed accessors in :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import __version__
-from ..config import SimConfig, apps_from_env, check_plans_from_env, int_from_env
+from ..config import SimConfig, apps_from_env, int_from_env
 from ..core.plan import PrefetchPlan
 from ..core.twig import build_plan
-from ..errors import PlanError, ReproError
+from ..errors import ConfigError, PlanError, ReproError
 from ..prefetchers.base import BaselineBTBSystem
 from ..prefetchers.confluence import ConfluenceBTBSystem
 from ..prefetchers.shotgun import ShotgunBTBSystem
@@ -54,7 +62,7 @@ from ..profiling.serialize import (
     result_from_dict,
     result_to_dict,
 )
-from ..telemetry.events import telemetry_from_env
+from ..telemetry.events import TelemetrySink
 from ..trace.events import Trace
 from ..trace.walker import generate_trace
 from ..uarch.results import SimResult
@@ -82,6 +90,9 @@ class RunnerSettings:
     sample_rate: int
     train_input: int = 0
     test_input: int = 1
+    sanitize: bool = False
+    check_plans: bool = False
+    telemetry_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.trace_instructions <= 0:
@@ -92,6 +103,11 @@ class RunnerSettings:
             raise ReproError(f"sample_rate must be positive, got {self.sample_rate}")
         if not self.apps:
             raise ReproError("at least one app is required")
+        if self.telemetry_path is not None and os.path.isdir(self.telemetry_path):
+            raise ConfigError(
+                f"the telemetry log must be a file, got directory "
+                f"{self.telemetry_path!r}"
+            )
 
     @classmethod
     def from_env(cls) -> "RunnerSettings":
@@ -136,21 +152,15 @@ class ExperimentRunner:
         settings: Optional[RunnerSettings] = None,
         cache: Optional[ResultCache] = None,
         jobs: Optional[int] = None,
-        telemetry=None,
-        check_plans: Optional[bool] = None,
     ):
         self.settings = settings if settings is not None else RunnerSettings.from_env()
         self.cache = cache
         self.jobs = resolve_jobs(jobs)
-        # Static plan verification (repro.staticcheck).  Defaults from
-        # REPRO_CHECK_PLANS so the CLI's --check-plans reaches parallel
-        # workers through their inherited environment.
-        self.check_plans = check_plans_from_env() if check_plans is None else check_plans
         self.stats = RunnerStats()
-        # Telemetry defaults from REPRO_TELEMETRY (like sanitize): the
-        # env path is what parallel workers inherit, so a --telemetry
-        # run gets worker spans in the same log.  None -> fully off.
-        self.telemetry = telemetry if telemetry is not None else telemetry_from_env()
+        # Pool workers build their runners from the same settings, so
+        # their spans land in the same log.  None -> fully off.
+        path = self.settings.telemetry_path
+        self.telemetry = TelemetrySink(path) if path else None
         if self.telemetry is not None and self.cache is not None:
             self.cache.sink = self.telemetry
         self._workloads: Dict[str, Workload] = {}
@@ -164,6 +174,13 @@ class ExperimentRunner:
     @property
     def apps(self) -> Tuple[str, ...]:
         return self.settings.apps
+
+    def _config(self, config: Optional[SimConfig] = None) -> SimConfig:
+        """*config* (default: Table 1), sanitized when the settings say so."""
+        cfg = config if config is not None else SimConfig()
+        if self.settings.sanitize and not cfg.sanitize:
+            cfg = replace(cfg, sanitize=True)
+        return cfg
 
     def _span(self, phase: str, **fields):
         """Telemetry span for one pipeline stage; no-op when disabled."""
@@ -228,24 +245,16 @@ class ExperimentRunner:
             "test_input": self.settings.test_input,
         }
 
-    def _result_cache_fields(
-        self,
-        app: str,
-        system: str,
-        input_idx: int,
-        cfg: SimConfig,
-        profile_input: Optional[int],
-        cache_tag: str,
-    ) -> dict:
+    def _result_cache_fields(self, q: RunRequest) -> dict:
         fields = self._base_cache_fields()
         fields.update(
             kind="sim_result",
-            app=app,
-            system=system,
-            input_idx=input_idx,
-            profile_input=profile_input,
-            cache_tag=cache_tag,
-            config=_config_signature(cfg),
+            app=q.app,
+            system=q.system,
+            input_idx=q.input_idx,
+            profile_input=q.profile_input,
+            cache_tag=q.cache_tag,
+            config=_config_signature(q.config),
         )
         return fields
 
@@ -255,7 +264,7 @@ class ExperimentRunner:
             kind="miss_profile",
             app=app,
             input_idx=input_idx,
-            config=_config_signature(SimConfig()),
+            config=_config_signature(self._config()),
         )
         return fields
 
@@ -288,7 +297,7 @@ class ExperimentRunner:
                 tr = self.trace(app, idx)
                 with self._span("profile_collect", app=app, input=idx):
                     profile = collect_profile(
-                        wl, tr, SimConfig(), sample_rate=self.settings.sample_rate
+                        wl, tr, self._config(), sample_rate=self.settings.sample_rate
                     )
                 self.stats.profiles_collected += 1
                 if self.cache is not None:
@@ -302,7 +311,7 @@ class ExperimentRunner:
         profile_input: Optional[int] = None,
         config: Optional[SimConfig] = None,
     ) -> PrefetchPlan:
-        cfg = config if config is not None else SimConfig()
+        cfg = self._config(config)
         idx = self.settings.train_input if profile_input is None else profile_input
         sig = _twig_signature(cfg)
         key = (app, idx, sig)
@@ -311,7 +320,7 @@ class ExperimentRunner:
             prof = self.profile(app, idx)
             with self._span("plan_build", app=app, input=idx):
                 plan = build_plan(wl, prof, cfg)
-            if self.check_plans:
+            if self.settings.check_plans:
                 self._verify_plan(app, plan, wl, cfg)
             self._plans[key] = plan
         return self._plans[key]
@@ -356,23 +365,19 @@ class ExperimentRunner:
         attached, persisted under ``cache_dir`` so later processes and
         parallel workers skip the simulation entirely.
         """
-        if system not in SYSTEMS:
-            raise ReproError(f"unknown system {system!r}; choose from {SYSTEMS}")
-        cfg = config if config is not None else SimConfig()
-        idx = self.settings.test_input if input_idx is None else input_idx
-        key = (app, system, idx, _config_signature(cfg), profile_input, cache_tag)
-        if key not in self._results:
-            fields = self._result_cache_fields(
-                app, system, idx, cfg, profile_input, cache_tag
-            )
-            result = self._cached_payload(fields, result_from_dict)
-            if result is None:
-                result = self._simulate(app, system, idx, cfg, profile_input)
-                self.stats.simulations += 1
-                if self.cache is not None:
-                    self.cache.store(fields, result_to_dict(result))
-            self._results[key] = result
-        return self._results[key]
+        request = RunRequest(app, system, input_idx, profile_input, cache_tag, config)
+        return self.warm([request], jobs=1)[0]
+
+    def _resolve(self, q: RunRequest) -> Tuple[RunRequest, tuple]:
+        """*q* with its input and config defaulted, and its memo key."""
+        q = replace(
+            q,
+            input_idx=self.settings.test_input if q.input_idx is None else q.input_idx,
+            config=self._config(q.config),
+        )
+        key = (q.app, q.system, q.input_idx, _config_signature(q.config),
+               q.profile_input, q.cache_tag)
+        return q, key
 
     # ------------------------------------------------------------------
     def warm(
@@ -383,65 +388,61 @@ class ExperimentRunner:
         """Ensure every requested run is available, in parallel if asked.
 
         *requests* is an iterable of :class:`RunRequest` objects or
-        ``(app, system[, input_idx])`` tuples.  With ``jobs > 1`` the
-        missing runs go to a process pool in per-app batches (each
-        worker shares the disk cache, so its work also persists); with
-        ``jobs == 1`` — or for any request the pool failed twice — the
-        run happens serially in-process.  Returns the results in
-        request order.
+        ``(app, system[, input_idx])`` tuples.  Runs already in the memo
+        or the disk cache are read here.  With ``jobs > 1`` the rest go
+        to a process pool in per-app batches (each worker shares the
+        disk cache, so its work also persists); with ``jobs == 1`` — or
+        for any request the pool failed twice — the run happens serially
+        in-process.  Returns the results in request order.
         """
         reqs = [RunRequest.coerce(q) for q in requests]
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
 
-        def _key(q: RunRequest) -> tuple:
-            cfg = q.config if q.config is not None else SimConfig()
-            idx = self.settings.test_input if q.input_idx is None else q.input_idx
-            return (q.app, q.system, idx, _config_signature(cfg), q.profile_input,
-                    q.cache_tag)
-
-        pending: List[RunRequest] = []
+        keys = []
+        pending = []  # (resolved request, memo key, disk-cache fields)
         seen = set()
         for q in reqs:
-            key = _key(q)
-            if key not in self._results and key not in seen:
-                seen.add(key)
-                pending.append(q)
+            q, key = self._resolve(q)
+            keys.append(key)
+            if key in self._results or key in seen:
+                continue
+            seen.add(key)
+            fields = self._result_cache_fields(q)
+            result = self._cached_payload(fields, result_from_dict)
+            if result is None:
+                pending.append((q, key, fields))
+            else:
+                self._results[key] = result
 
         tel = self.telemetry
-        used_pool = jobs > 1 and len(pending) > 1
-        if used_pool:
+        if jobs > 1 and len(pending) > 1:
             cache_dir = self.cache.directory if self.cache is not None else None
             outcomes = execute_runs(
-                self.settings, pending, jobs, cache_dir=cache_dir, telemetry=tel
+                self.settings, [p[0] for p in pending], jobs,
+                cache_dir=cache_dir, telemetry=tel,
             )
-            for q, res in zip(pending, outcomes):
+            for (_, key, _), res in zip(pending, outcomes):
                 if res is not None:
-                    self._results[_key(q)] = res
+                    self._results[key] = res
                     self.stats.parallel_runs += 1
-            pending = [q for q, res in zip(pending, outcomes) if res is None]
+            pending = [p for p, res in zip(pending, outcomes) if res is None]
             if tel is not None and pending:
                 # Requests the pool failed twice; about to re-run serially.
                 tel.registry.inc("parallel.serial_fallbacks", len(pending))
 
-        for q in pending:  # serial path, and fallback for failed workers
-            self.run(
-                q.app,
-                q.system,
-                input_idx=q.input_idx,
-                config=q.config,
-                profile_input=q.profile_input,
-                cache_tag=q.cache_tag,
-            )
-        return [self._results[_key(q)] for q in reqs]
+        for q, key, fields in pending:  # serial, and pool fallback
+            result = self._simulate(q)
+            self.stats.simulations += 1
+            if self.cache is not None:
+                self.cache.store(fields, result_to_dict(result))
+            self._results[key] = result
+        return [self._results[key] for key in keys]
 
-    def _simulate(
-        self,
-        app: str,
-        system: str,
-        input_idx: int,
-        cfg: SimConfig,
-        profile_input: Optional[int],
-    ) -> SimResult:
+    def _simulate(self, q: RunRequest) -> SimResult:
+        """Simulate one resolved request (input and config filled in)."""
+        app, system, input_idx, cfg = q.app, q.system, q.input_idx, q.config
+        if system not in SYSTEMS:
+            raise ReproError(f"unknown system {system!r}; choose from {SYSTEMS}")
         wl = self.workload(app)
         tr = self.trace(app, input_idx)
         warm = self.warmup_units(tr)
@@ -472,7 +473,7 @@ class ExperimentRunner:
         else:
             btb_system = BaselineBTBSystem(run_cfg)
             if system == "twig":
-                plan = self.plan(app, profile_input, cfg)
+                plan = self.plan(app, q.profile_input, cfg)
                 btb_system.install_ops(plan.sim_ops())
 
         # The span covers simulator construction + the timed run, but
@@ -480,10 +481,11 @@ class ExperimentRunner:
         # to their own phases.
         label = f"{app}/{system}#{input_idx}"
         with self._span("simulate", app=app, system=system, input=input_idx):
-            sim = FrontendSimulator(
-                wl, config=run_cfg, btb_system=btb_system, telemetry=self.telemetry
-            )
-            return sim.run(tr, label=label, warmup_units=warm)
+            sim = FrontendSimulator(wl, config=run_cfg, btb_system=btb_system)
+            result = sim.run(tr, label=label, warmup_units=warm)
+        if self.telemetry is not None:
+            self.telemetry.on_sim_run(result, len(tr))
+        return result
 
     # ------------------------------------------------------------------
     def speedup(self, app: str, system: str, **kwargs) -> float:

@@ -17,12 +17,13 @@ Two layers:
   tag) are computed for the whole trace in a handful of array ops.
 * **A linear table-update sweep.**  With all indices and tags known,
   the remaining state machine (counters, useful bits, allocation) is a
-  tight Python loop over plain lists — unrolled for the default
-  6-table geometry, generic otherwise.
+  tight Python loop over plain lists, unrolled for the default 6-table
+  geometry.
 
-Without numpy the module falls back to replaying a private
-:class:`TageLite` instance, which is exactly as fast as the serial
-path's inline calls but keeps the fast simulator loop available.
+Without numpy, or for any other table count, the module falls back to
+replaying a private :class:`TageLite` instance, which is exactly as
+fast as the serial path's inline calls but keeps the fast simulator
+loop available.
 
 The parity guarantee (tests/test_sim_parity.py, validate.fuzz) is
 zero-tolerance: every returned flag equals the corresponding
@@ -60,7 +61,7 @@ def direction_outcome_stream(
         raise ValueError("pcs and takens must have equal length")
     if len(pcs) == 0:
         return []
-    if _np is None:
+    if _np is None or config.tage_tables != 6:
         return _replay_outcomes(config, pcs, takens)
     return _batched_outcomes(config, pcs, takens)
 
@@ -123,6 +124,7 @@ def _batched_folds(takens, lengths: Sequence[int], out_len: int, n: int):
 def _batched_outcomes(
     config: FrontendConfig, pcs: Sequence[int], takens: Sequence[int]
 ) -> List[int]:
+    """Numpy index/tag streams, then the unrolled 6-table sweep."""
     n_tables = config.tage_tables
     table_size = config.tage_entries_per_table
     index_bits = table_size.bit_length() - 1
@@ -148,96 +150,13 @@ def _batched_outcomes(
         for t in range(n_tables)
     ]
     base_idx = ((pc ^ (pc >> 7)) % base_size).tolist()
-    taken_list = tk.tolist()
-
-    if n_tables == 6:
-        return _update_sweep_6(table_size, base_size, idx_cols, tag_cols,
-                               base_idx, taken_list)
-    return _update_sweep(n_tables, table_size, base_size, idx_cols, tag_cols,
-                         base_idx, taken_list)
+    return _update_sweep_6(table_size, base_size, idx_cols, tag_cols,
+                           base_idx, tk.tolist())
 
 
 # ----------------------------------------------------------------------
-# Table-update sweeps (TageLite.update semantics, lists precomputed)
+# Table-update sweep (TageLite.update semantics, lists precomputed)
 # ----------------------------------------------------------------------
-
-def _update_sweep(
-    n_tables: int,
-    table_size: int,
-    base_size: int,
-    idx_cols: List[List[int]],
-    tag_cols: List[List[int]],
-    base_idx: List[int],
-    takens: List[int],
-) -> List[int]:
-    """Generic sweep for any table count (reference for the unrolled one)."""
-    tags = [[-1] * table_size for _ in range(n_tables)]
-    ctrs = [[0] * table_size for _ in range(n_tables)]
-    useful = [[0] * table_size for _ in range(n_tables)]
-    base = [1] * base_size
-    alloc_tick = 0
-    top = n_tables - 1
-    out: List[int] = []
-    append = out.append
-
-    for j in range(len(takens)):
-        taken = takens[j]
-        provider = -1
-        pidx = 0
-        predicted = False
-        for t in range(top, -1, -1):
-            idx = idx_cols[t][j]
-            if tags[t][idx] == tag_cols[t][j]:
-                ctr = ctrs[t][idx]
-                if -1 <= ctr <= 0 and useful[t][idx] == 0:
-                    predicted = base[base_idx[j]] >= 2
-                else:
-                    predicted = ctr >= 0
-                provider = t
-                pidx = idx
-                break
-        else:
-            pidx = base_idx[j]
-            predicted = base[pidx] >= 2
-        correct = predicted == (taken == 1)
-        append(1 if correct else 0)
-
-        if provider >= 0:
-            col = ctrs[provider]
-            ctr = col[pidx]
-            if taken:
-                if ctr < TageLite.CTR_MAX:
-                    col[pidx] = ctr + 1
-            elif ctr > TageLite.CTR_MIN:
-                col[pidx] = ctr - 1
-            if correct:
-                ucol = useful[provider]
-                if ucol[pidx] < 3:
-                    ucol[pidx] += 1
-        else:
-            b = base[pidx]
-            if taken:
-                if b < 3:
-                    base[pidx] = b + 1
-            elif b > 0:
-                base[pidx] = b - 1
-
-        if not correct and provider < top:
-            alloc_tick += 1
-            for t in range(provider + 1, n_tables):
-                idx = idx_cols[t][j]
-                if useful[t][idx] == 0:
-                    tags[t][idx] = tag_cols[t][j]
-                    ctrs[t][idx] = 0 if taken else -1
-                    break
-            else:
-                span = n_tables - provider - 1
-                victim = provider + 1 + (alloc_tick % span)
-                idx = idx_cols[victim][j]
-                if useful[victim][idx] > 0:
-                    useful[victim][idx] -= 1
-    return out
-
 
 def _update_sweep_6(
     table_size: int,

@@ -41,9 +41,6 @@ def collect_profile(
         config=cfg,
         btb_system=BaselineBTBSystem(cfg),
         lbr_recorder=recorder,
-        # The LBR recorder needs the serial per-unit callbacks; pinned
-        # here so a global REPRO_SIM_MODE=fast never reaches this run.
-        mode="serial",
     )
     sim.run(trace, label=f"profile:{trace.label}", warmup_units=warmup_units)
     profile.validate()

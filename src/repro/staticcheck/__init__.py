@@ -30,7 +30,8 @@ All layers emit :class:`~repro.staticcheck.findings.Finding` records
 and share the text/JSON reporters; ``python -m repro.staticcheck`` and
 ``tools/staticcheck.py`` are the CLI entry points (``--changed`` lints
 only files changed vs origin/main), and the experiment runner can
-verify every plan it builds (``--check-plans`` / ``REPRO_CHECK_PLANS``).
+verify every plan it builds (``--check-plans``, which sets
+``RunnerSettings.check_plans``).
 """
 
 from __future__ import annotations

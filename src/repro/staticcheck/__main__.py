@@ -126,6 +126,8 @@ def _with_service_closure(files: List[Path]) -> List[Path]:
 
 def _check_plans(apps_arg: str) -> List[Finding]:
     """Build and statically verify plans via the experiment pipeline."""
+    from dataclasses import replace
+
     from ..config import SimConfig, apps_from_env
     from ..experiments.runner import ExperimentRunner, RunnerSettings
     from ..workloads.apps import app_names
@@ -142,16 +144,10 @@ def _check_plans(apps_arg: str) -> List[Finding]:
             f"unknown app(s) {unknown}; choose from {sorted(app_names())}"
         )
 
-    settings = RunnerSettings.from_env()
-    settings = RunnerSettings(
-        trace_instructions=settings.trace_instructions,
-        apps=apps,
-        sample_rate=settings.sample_rate,
-    )
-    # check_plans=False: this command *is* the verification; the
+    # check_plans stays off: this command *is* the verification; the
     # runner's own hook would raise on the first error instead of
     # reporting all findings.
-    runner = ExperimentRunner(settings, check_plans=False)
+    runner = ExperimentRunner(replace(RunnerSettings.from_env(), apps=apps))
     cfg = SimConfig()
     findings: List[Finding] = []
     for app in apps:

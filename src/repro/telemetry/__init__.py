@@ -7,7 +7,7 @@ Three pieces, mirroring the sanitizer's zero-cost-when-off design:
   parallel workers ship per-request deltas back for aggregation;
 * :mod:`~repro.telemetry.events` — :class:`TelemetrySink`, a JSONL
   event log (phase spans, cache traffic, pool lifecycle, summaries)
-  enabled via ``--telemetry PATH`` / ``REPRO_TELEMETRY``;
+  enabled by ``--telemetry PATH`` (``RunnerSettings.telemetry_path``);
 * :mod:`~repro.telemetry.report` — the summarizer behind
   ``python -m repro.experiments telemetry-report``.
 
@@ -15,7 +15,7 @@ Disabled (the default), the instrumented code paths cost one ``None``
 check; enabled, they never change simulation outcomes.
 """
 
-from .events import PHASES, SERVICE_PHASES, TelemetrySink, telemetry_from_env
+from .events import PHASES, SERVICE_PHASES, TelemetrySink
 from .metrics import MetricsRegistry
 from .report import format_report, read_events, render_report, summarize
 
@@ -24,7 +24,6 @@ __all__ = [
     "SERVICE_PHASES",
     "MetricsRegistry",
     "TelemetrySink",
-    "telemetry_from_env",
     "format_report",
     "read_events",
     "render_report",

@@ -12,12 +12,13 @@ Event types emitted by the instrumented pipeline:
   ``duration_s`` and context fields like ``app``/``system``/``input``);
 * ``cache_load`` / ``cache_store`` / ``cache_quarantine`` — disk-cache
   traffic (``outcome`` ∈ hit/miss/corrupt for loads);
-* ``worker_start`` / ``worker_result`` — process-pool lifecycle;
+* ``worker_start`` — a process-pool worker came up;
 * ``summary`` — end-of-run registry snapshot plus cache/runner stats.
 
-The file is opened in append mode, so parallel workers inheriting
-``REPRO_TELEMETRY`` write interleaved complete lines into the same log
-(each line is flushed whole; readers skip any malformed line).
+The file is opened in append mode, so parallel workers handed the same
+log path (``RunnerSettings.telemetry_path``) write interleaved complete
+lines into one log (each line is flushed whole; readers skip any
+malformed line).
 
 The sink is the *enabled* half of a zero-cost-when-off design: code
 holds ``Optional[TelemetrySink]`` and guards every call with one
@@ -35,7 +36,6 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Optional
 
-from ..config import telemetry_path_from_env
 from ..errors import ReproError
 from .metrics import MetricsRegistry
 
@@ -101,11 +101,11 @@ class TelemetrySink:
 
     # ------------------------------------------------------------------
     def on_sim_run(self, result, fetch_units: int) -> None:
-        """Coarse per-run counters from the timing simulator.
+        """Coarse per-run counters from one timing-simulator run.
 
-        Called once per :meth:`FrontendSimulator.run` (never per fetch
-        unit) so the simulator's telemetry footprint is a single
-        ``None`` check plus this call when enabled.
+        The runner calls it once per simulation, after
+        :meth:`FrontendSimulator.run` returns, so the simulator itself
+        carries no telemetry.
         """
         reg = self.registry
         reg.inc("sim.runs")
@@ -146,15 +146,3 @@ class TelemetrySink:
         except OSError:
             pass
 
-
-def telemetry_from_env() -> Optional[TelemetrySink]:
-    """Build a sink from ``REPRO_TELEMETRY``, or ``None`` when unset.
-
-    Parallel workers inherit the environment, so enabling telemetry in
-    the parent (``--telemetry PATH`` sets the variable) makes every
-    worker append its spans to the same log.
-    """
-    path = telemetry_path_from_env()
-    if path is None:
-        return None
-    return TelemetrySink(path)

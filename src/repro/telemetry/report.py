@@ -12,8 +12,7 @@ operational picture of a run:
   fleet's per-worker view, not just the fleet-wide totals;
 * retry / serial-fallback counts from the process pool.
 
-Used by ``python -m repro.experiments telemetry-report`` and
-``tools/telemetry_report.py``.
+Used by ``python -m repro.experiments telemetry-report``.
 """
 
 from __future__ import annotations

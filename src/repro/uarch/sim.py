@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config import SimConfig, sim_mode_from_env
+from ..config import SimConfig
 from ..errors import SimulationError
 from ..frontend.direction import TageLite
 from ..frontend.ibtb import IndirectBTB
@@ -56,20 +56,13 @@ _KIND_NAMES = {
     KIND_CALL: "call_direct",
 }
 
-# Simulation-mode contract (DESIGN.md §12):
-#
-# * ``serial``  — the original per-event loop, always available; owns
-#   the sanitizer/oracle layers and is the parity reference.
-# * ``fast``    — the batched path: precomputed direction outcomes plus
-#   a bulk sub-loop over "simple" fetch units.  Counter-for-counter
-#   identical to serial by construction; raises when a run needs
-#   serial-only machinery (sanitizer, LBR recorder, warm predictor).
-# * ``auto``    — fast when eligible, serial otherwise (the default).
-SIM_MODES = ("auto", "fast", "serial")
-
-
 class FrontendSimulator:
     """One simulator instance per (workload, config, BTB system)."""
+
+    # The loop is not selectable: run() takes the fast loop whenever
+    # fast_block_reason() is None.  The constant stays for callers that
+    # still read it, such as the benchmark suite's traced wrapper.
+    mode = "auto"
 
     def __init__(
         self,
@@ -77,18 +70,8 @@ class FrontendSimulator:
         config: Optional[SimConfig] = None,
         btb_system: Optional[BTBSystem] = None,
         lbr_recorder=None,
-        telemetry=None,
-        mode: Optional[str] = None,
     ):
-        self.mode = sim_mode_from_env() if mode is None else mode
-        if self.mode not in SIM_MODES:
-            raise SimulationError(
-                f"unknown simulation mode {self.mode!r}; choose from {SIM_MODES}"
-            )
         self.workload = workload
-        # Optional TelemetrySink; consulted once per run() (a single
-        # None check — never inside the fetch-unit loop).
-        self.telemetry = telemetry
         self.config = config if config is not None else SimConfig()
         self.btb_system = (
             btb_system if btb_system is not None else BaselineBTBSystem(self.config)
@@ -139,13 +122,7 @@ class FrontendSimulator:
             )
         return None
 
-    def run(
-        self,
-        trace: Trace,
-        label: str = "",
-        warmup_units: int = 0,
-        mode: Optional[str] = None,
-    ) -> SimResult:
+    def run(self, trace: Trace, label: str = "", warmup_units: int = 0) -> SimResult:
         """Simulate *trace* and return the measured counters.
 
         ``warmup_units`` fetch units are simulated with full structural
@@ -153,21 +130,12 @@ class FrontendSimulator:
         counter, so measurements reflect steady state rather than
         cold-start compulsory misses.
 
-        ``mode`` overrides the simulator-level mode for this run; see
-        :data:`SIM_MODES`.  Fast and serial runs of the same point are
+        The run takes the batched loop whenever :meth:`fast_block_reason`
+        is ``None`` and the serial loop otherwise.  The two are
         counter-for-counter identical (the parity suite pins this).
         """
-        mode = self.mode if mode is None else mode
-        if mode not in SIM_MODES:
-            raise SimulationError(
-                f"unknown simulation mode {mode!r}; choose from {SIM_MODES}"
-            )
-        if mode != "serial":
-            reason = self.fast_block_reason()
-            if reason is None:
-                return self._run_fast(trace, label, warmup_units)
-            if mode == "fast":
-                raise SimulationError(f"fast simulation unavailable: {reason}")
+        if self.fast_block_reason() is None:
+            return self._run_fast(trace, label, warmup_units)
         return self._run_serial(trace, label, warmup_units)
 
     # ------------------------------------------------------------------
@@ -464,8 +432,6 @@ class FrontendSimulator:
             san.check_ras(self.ras)
             san.check_ibtb(self.ibtb)
             res.validate()
-        if self.telemetry is not None:
-            self.telemetry.on_sim_run(res, n_units)
         return res
 
     # ------------------------------------------------------------------
@@ -784,8 +750,6 @@ class FrontendSimulator:
         res.prefetches_used = self.btb_system.prefetches_used() - pf_used_snap
         res.prefetch_ops_executed = prefetch_ops
         res.extra_dynamic_instructions = extra_instr_total
-        if self.telemetry is not None:
-            self.telemetry.on_sim_run(res, n_units)
         return res
 
 
@@ -796,7 +760,6 @@ def simulate(
     btb_system: Optional[BTBSystem] = None,
     label: str = "",
     lbr_recorder=None,
-    mode: Optional[str] = None,
 ) -> SimResult:
     """Convenience wrapper: build a simulator and run one trace."""
     sim = FrontendSimulator(
@@ -804,6 +767,5 @@ def simulate(
         config=config,
         btb_system=btb_system,
         lbr_recorder=lbr_recorder,
-        mode=mode,
     )
     return sim.run(trace, label=label)

@@ -4,7 +4,8 @@ Three layers (DESIGN.md §8):
 
 * :mod:`repro.validate.invariants` — the :class:`Sanitizer` the timing
   simulator weaves through every frontend structure when
-  ``SimConfig.sanitize`` / ``--sanitize`` / ``REPRO_SANITIZE`` is on;
+  ``SimConfig.sanitize`` is on (``--sanitize`` turns it on for every
+  run through ``RunnerSettings.sanitize``);
 * :mod:`repro.validate.differential` — reference-oracle co-simulation
   (:class:`DifferentialChecker`, the ``Shadow*`` pairs, and
   :func:`cosimulate`) that pins the optimized structures' hit/miss

@@ -9,10 +9,10 @@ trace, then subjects them to both correctness layers:
    (:func:`~repro.validate.differential.cosimulate` plus a randomized
    prefetch-buffer op stream),
 2. a full sanitized timing-simulator run (``SimConfig.sanitize``), and
-3. batched-fast-path parity: the same trace re-simulated through the
-   fast run loop (``mode="fast"``, sanitizer off — the sanitizer pins
-   runs to the serial path) must agree with the sanitized serial
-   result on every :class:`SimResult` counter.
+3. batched-fast-path parity: the same trace re-simulated with the
+   sanitizer off, which the simulator runs on its fast loop (the
+   sanitizer pins runs to the serial loop), must agree with the
+   sanitized serial result on every :class:`SimResult` counter.
 
 Everything is derived from the case seed through
 :func:`~repro.workloads.rng.make_rng`, so a failing seed is a complete
@@ -238,11 +238,12 @@ def run_case(
 
     # Layer 3: batched fast path vs the sanitized serial reference.
     # The sanitizer pins a run to the serial loop, so the fast run uses
-    # the same geometry with sanitize off; parity must be exact anyway.
+    # the same geometry with sanitize off, which a fresh simulator runs
+    # on its fast loop; parity must be exact anyway.
     fast_cfg = replace(cfg, sanitize=False)
 
     def fast_run(tr: Trace):
-        return FrontendSimulator(workload, config=fast_cfg).run(tr, mode="fast")
+        return FrontendSimulator(workload, config=fast_cfg).run(tr)
 
     def parity_diffs(tr: Trace):
         return result_diffs(serial_run(tr), fast_run(tr))

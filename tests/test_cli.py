@@ -27,24 +27,28 @@ class TestCLI:
         assert main(["fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
 
-    def test_default_sim_mode_does_not_outlive_main(self, monkeypatch):
-        # main() installs the fast sweep default via os.environ so
-        # pool workers inherit it, but nobody asked for it — it must
-        # not leak into whatever the process does next (sanitized
-        # serial runs in the same test process, for one).
+    def test_settings_do_not_outlive_main(self, tmp_path):
+        # The flags set RunnerSettings fields for this invocation only:
+        # nothing lands in os.environ, so later configs and runners in
+        # the same process are plain.
         import os
 
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-        assert main(["--list"]) == 0
-        assert "REPRO_SIM_MODE" not in os.environ
+        from repro.config import SimConfig
+        from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
-    def test_explicit_sim_mode_persists_for_workers(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-        assert main(["--list", "--sim-mode", "serial"]) == 0
-        assert os.environ.get("REPRO_SIM_MODE") == "serial"
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
+        log = tmp_path / "run.jsonl"
+        before = dict(os.environ)
+        assert main(["--sanitize", "--check-plans", "--telemetry", str(log),
+                     "--list"]) == 0
+        assert dict(os.environ) == before
+        assert SimConfig().sanitize is False
+        runner = ExperimentRunner(
+            RunnerSettings(trace_instructions=1000, apps=("wordpress",),
+                           sample_rate=1)
+        )
+        assert runner.settings.check_plans is False
+        assert runner.telemetry is None
+        assert not log.exists()
 
     @pytest.fixture()
     def small_env(self, monkeypatch, tmp_path):
@@ -87,6 +91,10 @@ class TestCLI:
 
     def test_invalid_jobs_rejected(self, capsys, small_env):
         assert main(["fig03", "--jobs", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_telemetry_directory_is_a_clean_error(self, capsys, small_env):
+        assert main(["fig03", "--telemetry", str(small_env)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_invalid_env_knob_rejected(self, capsys, small_env, monkeypatch):

@@ -11,7 +11,6 @@ from repro.config import (
     MemoryConfig,
     SimConfig,
     TwigConfig,
-    default_sweep_sim_mode,
     is_power_of_two,
 )
 from repro.errors import ConfigError
@@ -145,27 +144,3 @@ class TestComponentDefaults:
         canary = CanarySettings()
         assert (canary.enabled, canary.fraction, canary.window,
                 canary.windows, canary.threshold) == (False, 0.5, 64, 2, 0.1)
-
-
-class TestSweepSimModeDefault:
-    """default_sweep_sim_mode: what `python -m repro.experiments` installs."""
-
-    @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        return monkeypatch
-
-    def test_default_is_fast(self):
-        assert default_sweep_sim_mode() == "fast"
-
-    def test_sanitize_keeps_auto(self, clean_env):
-        # The sanitizer is serial-only; auto lets eligible runs batch
-        # while sanitized ones keep their serial fallback.
-        clean_env.setenv("REPRO_SANITIZE", "1")
-        assert default_sweep_sim_mode() == "auto"
-
-    @pytest.mark.parametrize("explicit", ["serial", "fast", "auto"])
-    def test_explicit_choice_wins(self, clean_env, explicit):
-        clean_env.setenv("REPRO_SIM_MODE", explicit)
-        assert default_sweep_sim_mode() is None

@@ -6,6 +6,8 @@ two independent runners — and serial vs. parallel execution — must
 produce identical metrics, counter for counter.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
@@ -67,14 +69,16 @@ class TestDeterminism:
         # Telemetry only *observes* (spans, counters, JSONL events): a
         # telemetry-on run must reproduce the plain golden counter for
         # counter — the zero-overhead contract of DESIGN.md §9.
-        from repro.telemetry import TelemetrySink, read_events
+        from repro.telemetry import read_events
 
         settings = RunnerSettings(
             trace_instructions=30_000, apps=("wordpress",), sample_rate=1
         )
         plain = ExperimentRunner(settings)
-        sink = TelemetrySink(str(tmp_path / "tel.jsonl"))
-        instrumented = ExperimentRunner(settings, telemetry=sink)
+        instrumented = ExperimentRunner(
+            replace(settings, telemetry_path=str(tmp_path / "tel.jsonl"))
+        )
+        sink = instrumented.telemetry
         for system in SYSTEMS:
             golden = result_to_dict(plain.run("wordpress", system))
             observed = result_to_dict(instrumented.run("wordpress", system))

@@ -4,9 +4,7 @@ Three contracts from DESIGN §16 are pinned here:
 
 1. **Determinism** — the same ``(stream, scenario, seed)`` produces
    identical phase schedules, changelogs, derived views, canary
-   verdicts, and rollback lineage; and none of it depends on the
-   simulator run-loop mode (profiling pins ``serial`` at its call
-   site, so a global ``REPRO_SIM_MODE=fast`` must change nothing).
+   verdicts, and rollback lineage.
 2. **Profile epochs** — a rolling deploy resets the shard's sample
    state while plan lineage survives; the reset is journaled at its
    exact stream position and replays correctly whether or not the
@@ -592,21 +590,3 @@ class TestCanaryEndToEnd:
             tmp_path, label, stream, "deploy", kill_mid_feedback=True
         )
         assert _lineage_view(killed) == _lineage_view(deploy_episode)
-
-    def test_sim_mode_does_not_touch_drift(
-        self, wp_stream, tmp_path, monkeypatch, deploy_episode
-    ):
-        """A global REPRO_SIM_MODE=fast (the new sweep default) must not
-        reach the drift pipeline: profiling pins serial at its call
-        site and everything downstream is simulator-free."""
-        label, stream = wp_stream
-        monkeypatch.setenv("REPRO_SIM_MODE", "fast")
-        resolver = default_workload_resolver()
-        workload = resolver(APP)
-        trace = generate_trace(
-            workload, workload.spec.make_input(0), max_instructions=8_000
-        )
-        _profile, fast_stream = collect_sample_stream(workload, trace, SIM_CFG)
-        assert fast_stream == stream
-        fast_ep = _episode(tmp_path, label, fast_stream, "deploy")
-        assert _lineage_view(fast_ep) == _lineage_view(deploy_episode)

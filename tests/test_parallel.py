@@ -3,9 +3,11 @@
 import multiprocessing
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.config import SimConfig
 from repro.errors import InvariantViolation, ReproError
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
@@ -88,15 +90,16 @@ class TestPerAppDispatch:
     """Each app's requests go to one worker, so each workload is built once."""
 
     @pytest.mark.slow
-    def test_each_app_built_once(self, tmp_path, monkeypatch):
+    def test_each_app_built_once(self, tmp_path):
         log = str(tmp_path / "telemetry.jsonl")
-        monkeypatch.setenv("REPRO_TELEMETRY", log)
         requests = [
             RunRequest(app, system)
             for system in ("baseline", "ideal_btb", "ideal_icache")
             for app in ("wordpress", "drupal")
         ]
-        results = execute_runs(TWO_APPS, requests, jobs=2)
+        results = execute_runs(
+            replace(TWO_APPS, telemetry_path=log), requests, jobs=2
+        )
         assert [r.label for r in results] == _labels(requests)
         builds = [
             e for e in read_events(log)
@@ -232,3 +235,58 @@ class TestWarm:
             )
         # The healthy run still landed in the memo before the failure.
         assert runner.stats.parallel_runs == 1
+
+    def test_warm_rerun_reads_the_disk_cache_without_a_pool(
+        self, tmp_path, monkeypatch
+    ):
+        cache_dir = str(tmp_path / "cache")
+        requests = [("wordpress", "baseline"), ("wordpress", "ideal_btb")]
+        first = ExperimentRunner(SETTINGS, cache=ResultCache(cache_dir))
+        expected = [result_to_dict(r) for r in first.warm(requests)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm rerun started a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        rerun = ExperimentRunner(SETTINGS, cache=ResultCache(cache_dir), jobs=2)
+        results = rerun.warm(requests)
+        assert [result_to_dict(r) for r in results] == expected
+        assert rerun.stats.disk_hits == len(requests)
+        assert rerun.stats.parallel_runs == 0
+        assert rerun.stats.simulations == 0
+
+
+class TestSettingsReachWorkers:
+    """Pool workers build their runners from the parent's settings."""
+
+    REQUESTS = [RunRequest("wordpress", "twig"), RunRequest("wordpress", "baseline")]
+
+    def _warm(self, settings, cache_dir):
+        runner = ExperimentRunner(settings, cache=ResultCache(cache_dir), jobs=2)
+        runner.warm(self.REQUESTS)
+        if runner.telemetry is not None:
+            runner.telemetry.close()
+        assert runner.stats.parallel_runs == len(self.REQUESTS)
+        assert runner.stats.simulations == 0
+
+    def test_sanitize(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        self._warm(replace(SETTINGS, sanitize=True), cache_dir)
+        # The workers stored sanitized results: a plain runner finds
+        # them under SimConfig(sanitize=True), and only there.
+        reader = ExperimentRunner(SETTINGS, cache=ResultCache(cache_dir))
+        for q in self.REQUESTS:
+            reader.run(q.app, q.system, config=SimConfig(sanitize=True))
+        assert reader.stats.simulations == 0
+        reader.run("wordpress", "baseline")
+        assert reader.stats.simulations == 1
+
+    @pytest.mark.parametrize("check_plans", [True, False])
+    def test_check_plans_and_telemetry_path(self, tmp_path, check_plans):
+        log = str(tmp_path / "tel.jsonl")
+        settings = replace(SETTINGS, check_plans=check_plans, telemetry_path=log)
+        self._warm(settings, str(tmp_path / "cache"))
+        spans = [e for e in read_events(log) if e["event"] == "span"]
+        worker_phases = {e["phase"] for e in spans if e["pid"] != os.getpid()}
+        assert {"simulate", "plan_build"} <= worker_phases
+        assert ("plan_check" in worker_phases) is check_plans

@@ -150,14 +150,3 @@ class TestConfigAccessors:
         clean_env.setenv("REPRO_TRACE_INSTRUCTIONS", "zero")
         with pytest.raises(ReproError, match="REPRO_TRACE_INSTRUCTIONS"):
             int_from_env("REPRO_TRACE_INSTRUCTIONS", 5)
-
-    def test_bool_accessor(self, clean_env):
-        from repro.config import bool_from_env
-
-        clean_env.setenv("REPRO_CHECK_PLANS", "yes")
-        assert bool_from_env("REPRO_CHECK_PLANS") is True
-        clean_env.setenv("REPRO_CHECK_PLANS", "off")
-        assert bool_from_env("REPRO_CHECK_PLANS") is False
-        clean_env.setenv("REPRO_CHECK_PLANS", "maybe")
-        with pytest.raises(ReproError, match="REPRO_CHECK_PLANS"):
-            bool_from_env("REPRO_CHECK_PLANS")

@@ -3,29 +3,29 @@
 The batched run loop (DESIGN.md §12) is only admissible because it is
 *provably* the same simulation: every :class:`SimResult` field —
 including the float cycle counters — must match the serial reference
-counter-for-counter, on every app, system, and warmup split.  These
-tests pin that contract, plus the mode-selection semantics around it.
+counter-for-counter, on every app, system, and warmup split.  The
+reference side runs sanitized, which pins it to the serial loop; the
+fast side first checks that nothing blocks the fast loop.  These tests
+pin that contract, plus the simulator's own choice of loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 from dataclasses import replace
 
 import pytest
 
-from repro.config import SimConfig, sim_mode_from_env
+from repro.config import SimConfig
 from repro.core.twig import build_plan
-from repro.errors import ConfigError, SimulationError
 from repro.prefetchers.base import BaselineBTBSystem
 from repro.prefetchers.confluence import ConfluenceBTBSystem, DEFAULT_LINE_CAPACITY
 from repro.prefetchers.shotgun import ShotgunBTBSystem
 from repro.profiling.collector import collect_profile
 from repro.trace.walker import generate_trace
 from repro.uarch.results import SimResult
-from repro.uarch.sim import SIM_MODES, FrontendSimulator
+from repro.uarch.sim import FrontendSimulator
 from repro.validate.fuzz import fuzz_config, fuzz_spec
 from repro.validate.parity import assert_results_identical, result_diffs
 from repro.workloads.apps import app_names, get_app
@@ -83,16 +83,23 @@ def _app_fixture(app: str, instructions: int):
     return workload, trace, plan
 
 
+def _fast_sim(workload, cfg, btb_system=None) -> FrontendSimulator:
+    """A simulator that will take the fast loop (checked, not assumed)."""
+    sim = FrontendSimulator(workload, config=cfg, btb_system=btb_system)
+    assert sim.fast_block_reason() is None
+    return sim
+
+
 def _assert_parity(workload, trace, plan, system: str, warmup: int) -> None:
     cfg = _config_for(system)
     serial = FrontendSimulator(
         workload,
         config=replace(cfg, sanitize=True),
         btb_system=_make_system(workload, cfg, system, plan),
-    ).run(trace, warmup_units=warmup, mode="serial")
-    fast = FrontendSimulator(
-        workload, config=cfg, btb_system=_make_system(workload, cfg, system, plan)
-    ).run(trace, warmup_units=warmup, mode="fast")
+    ).run(trace, warmup_units=warmup)
+    fast = _fast_sim(
+        workload, cfg, _make_system(workload, cfg, system, plan)
+    ).run(trace, warmup_units=warmup)
     assert_results_identical(
         serial, fast, context=f"{workload.name}/{system} warmup={warmup}"
     )
@@ -130,16 +137,15 @@ class TestFuzzCorpusParity:
         for warmup in (0, len(trace) // 3):
             serial = FrontendSimulator(
                 workload, config=replace(cfg, sanitize=True)
-            ).run(trace, warmup_units=warmup, mode="serial")
-            fast = FrontendSimulator(workload, config=cfg).run(
-                trace, warmup_units=warmup, mode="fast"
-            )
+            ).run(trace, warmup_units=warmup)
+            fast = _fast_sim(workload, cfg).run(trace, warmup_units=warmup)
             assert_results_identical(
                 serial, fast, context=f"fuzz seed={seed} warmup={warmup}"
             )
 
     def test_generic_tage_sweep_parity(self):
-        """A non-default table count exercises the generic TAGE sweep."""
+        """A non-default table count takes the TageLite replay path
+        (``direction_batch._replay_outcomes``), not the unrolled sweep."""
         rng = make_rng("test-sim-parity", "generic")
         spec = fuzz_spec(991, rng)
         frontend = replace(SimConfig().frontend, tage_tables=3)
@@ -148,8 +154,8 @@ class TestFuzzCorpusParity:
         trace = generate_trace(workload, spec.make_input(0), max_instructions=6000)
         serial = FrontendSimulator(
             workload, config=replace(cfg, sanitize=True)
-        ).run(trace, mode="serial")
-        fast = FrontendSimulator(workload, config=cfg).run(trace, mode="fast")
+        ).run(trace)
+        fast = _fast_sim(workload, cfg).run(trace)
         assert_results_identical(serial, fast, context="tage_tables=3")
 
 
@@ -185,10 +191,8 @@ class TestResultDiffs:
         assert {f.name for f in dataclasses.fields(SimResult)} == self.EXPECTED_FIELDS
 
     def test_every_field_mutation_detected(self, tiny_workload, tiny_trace):
-        cfg = SimConfig()
-        base = FrontendSimulator(workload=tiny_workload, config=cfg).run(
-            tiny_trace, mode="serial"
-        )
+        cfg = SimConfig(sanitize=True)
+        base = FrontendSimulator(workload=tiny_workload, config=cfg).run(tiny_trace)
         assert result_diffs(base, base) == []
         for field in dataclasses.fields(SimResult):
             value = getattr(base, field.name)
@@ -204,72 +208,77 @@ class TestResultDiffs:
             assert [name for name, _, _ in diffs] == [field.name]
 
 
-class TestModeSemantics:
-    def test_sim_modes_inventory(self):
-        assert SIM_MODES == ("auto", "fast", "serial")
+@pytest.fixture()
+def loops(monkeypatch):
+    """The loop each run() takes: fast, serial, or profile (serial with
+    an LBR recorder attached)."""
+    taken = []
+    real_serial = FrontendSimulator._run_serial
+    real_fast = FrontendSimulator._run_fast
 
-    def test_fast_mode_refuses_sanitizer(self, tiny_workload, tiny_trace):
-        cfg = replace(SimConfig(), sanitize=True)
-        sim = FrontendSimulator(tiny_workload, config=cfg)
-        with pytest.raises(SimulationError, match="sanitiz"):
-            sim.run(tiny_trace, mode="fast")
+    def serial(sim, *args):
+        taken.append("profile" if sim.lbr_recorder is not None else "serial")
+        return real_serial(sim, *args)
 
-    def test_fast_mode_refuses_warm_predictor(self, tiny_workload, tiny_trace):
+    def fast(sim, *args):
+        taken.append("fast")
+        return real_fast(sim, *args)
+
+    monkeypatch.setattr(FrontendSimulator, "_run_serial", serial)
+    monkeypatch.setattr(FrontendSimulator, "_run_fast", fast)
+    return taken
+
+
+class TestLoopSelection:
+    """run() takes the fast loop unless fast_block_reason() names a reason."""
+
+    def test_mode_constant_is_auto(self):
+        # Read by the benchmark suite's traced wrapper.
+        assert FrontendSimulator.mode == "auto"
+
+    def test_fresh_plain_run_takes_the_fast_loop(self, loops, tiny_workload, tiny_trace):
+        FrontendSimulator(tiny_workload, config=SimConfig()).run(tiny_trace)
+        assert loops == ["fast"]
+
+    def test_sanitizer_takes_the_serial_loop(self, loops, tiny_workload, tiny_trace):
+        sim = FrontendSimulator(tiny_workload, config=SimConfig(sanitize=True))
+        assert "sanitiz" in sim.fast_block_reason()
+        sim.run(tiny_trace)
+        assert loops == ["serial"]
+
+    def test_warm_predictor_takes_the_serial_loop(
+        self, loops, tiny_workload, tiny_trace
+    ):
         sim = FrontendSimulator(tiny_workload, config=SimConfig())
-        sim.run(tiny_trace, mode="serial")
-        with pytest.raises(SimulationError):
-            sim.run(tiny_trace, mode="fast")
+        sim.run(tiny_trace)
+        assert "predictor" in sim.fast_block_reason()
+        sim.run(tiny_trace)
+        assert loops == ["fast", "serial"]
 
-    def test_auto_falls_back_to_serial(self, tiny_workload, tiny_trace):
-        cfg = replace(SimConfig(), sanitize=True)
-        auto = FrontendSimulator(tiny_workload, config=cfg).run(
-            tiny_trace, mode="auto"
-        )
-        serial = FrontendSimulator(tiny_workload, config=cfg).run(
-            tiny_trace, mode="serial"
-        )
-        assert result_diffs(serial, auto) == []
-
-    def test_unknown_mode_rejected(self, tiny_workload, tiny_trace):
-        sim = FrontendSimulator(tiny_workload, config=SimConfig())
-        with pytest.raises(SimulationError, match="mode"):
-            sim.run(tiny_trace, mode="vectorized")
-
-    def test_env_mode_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-        assert sim_mode_from_env() == "auto"
-        for mode in ("auto", "fast", "serial"):
-            monkeypatch.setenv("REPRO_SIM_MODE", mode)
-            assert sim_mode_from_env() == mode
-        monkeypatch.setenv("REPRO_SIM_MODE", "warp-speed")
-        with pytest.raises(ConfigError):
-            sim_mode_from_env()
-
-    def test_env_mode_reaches_simulator(self, tiny_workload, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MODE", "serial")
-        assert FrontendSimulator(tiny_workload, config=SimConfig()).mode == "serial"
+    def test_lbr_recorder_takes_the_serial_loop(self, loops, tiny_workload, tiny_trace):
+        collect_profile(tiny_workload, tiny_trace, SimConfig())
+        assert loops == ["profile"]
 
 
 class TestSweepGoldenMetrics:
-    """The default experiment sweep now runs on the fast path; the
+    """The default experiment sweep runs on the fast path; the
     runner-level golden metrics (speedups, MPKI reductions) must be
-    bit-identical to a serial sweep — this is the CI assertion behind
-    flipping the default."""
+    bit-identical to a sanitized sweep, which runs serial."""
 
     @staticmethod
-    def _runner(monkeypatch, mode):
+    def _runner(sanitize):
         from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
-        monkeypatch.setenv("REPRO_SIM_MODE", mode)
         settings = RunnerSettings(
-            trace_instructions=20_000, apps=("wordpress",), sample_rate=1
+            trace_instructions=20_000, apps=("wordpress",), sample_rate=1,
+            sanitize=sanitize,
         )
         return ExperimentRunner(settings, cache=None, jobs=1)
 
-    def test_golden_metrics_fast_equals_serial(self, monkeypatch):
+    def test_golden_metrics_fast_equals_serial(self):
         metrics = {}
-        for mode in ("fast", "serial"):
-            runner = self._runner(monkeypatch, mode)
+        for mode, sanitize in (("fast", False), ("serial", True)):
+            runner = self._runner(sanitize)
             metrics[mode] = {
                 "twig_result": runner.run("wordpress", "twig"),
                 "speedup": runner.speedup("wordpress", "twig"),
@@ -278,7 +287,7 @@ class TestSweepGoldenMetrics:
         assert_results_identical(
             metrics["serial"]["twig_result"],
             metrics["fast"]["twig_result"],
-            context="wordpress/twig sweep (fast default vs serial opt-out)",
+            context="wordpress/twig sweep (fast default vs sanitized serial)",
         )
         assert metrics["fast"]["speedup"] == metrics["serial"]["speedup"]
         assert (
@@ -286,36 +295,29 @@ class TestSweepGoldenMetrics:
             == metrics["serial"]["miss_reduction"]
         )
 
-    def test_default_sweep_env_is_fast(self, monkeypatch):
-        """The CLI installs fast as the sweep default (serial opt-out,
-        auto under sanitize), without clobbering an explicit env.  The
-        default lives only for the run — workers inherit it via the
-        environment, but it is popped before main() returns so it
-        cannot leak into in-process callers."""
-        import repro.experiments.__main__ as cli
 
-        seen = {}
-        real_run = cli._run
+class TestSweepStaysOnTheFastLoop:
+    """A default figure sweep never runs the serial loop except to
+    collect a profile (the LBR recorder needs it)."""
 
-        def spy(args):
-            seen["mode"] = os.environ.get("REPRO_SIM_MODE")
-            return real_run(args)
+    @pytest.fixture(autouse=True)
+    def small_env(self, monkeypatch):
+        import repro.experiments.runner as runner_mod
 
-        monkeypatch.setattr(cli, "_run", spy)
+        monkeypatch.setenv("REPRO_APPS", "wordpress")
+        monkeypatch.setenv("REPRO_TRACE_INSTRUCTIONS", "20000")
+        monkeypatch.setattr(runner_mod, "_GLOBAL_RUNNER", None)
 
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert cli.main(["--list"]) == 0
-        assert seen["mode"] == "fast"
-        assert "REPRO_SIM_MODE" not in os.environ
+    def _main(self, argv, capsys):
+        from repro.experiments.__main__ import main
 
-        monkeypatch.setenv("REPRO_SIM_MODE", "serial")
-        assert cli.main(["--list"]) == 0
-        assert seen["mode"] == "serial"
-        assert os.environ["REPRO_SIM_MODE"] == "serial"
+        assert main(["--no-cache", *argv]) == 0
+        capsys.readouterr()
 
-        monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert cli.main(["--list"]) == 0
-        assert seen["mode"] == "auto"
-        assert "REPRO_SIM_MODE" not in os.environ
+    def test_characterization_sweep_never_runs_serial(self, loops, capsys):
+        self._main(["fig02", "fig09"], capsys)
+        assert loops and set(loops) == {"fast"}
+
+    def test_twig_sweep_runs_serial_only_to_profile(self, loops, capsys):
+        self._main(["fig16"], capsys)
+        assert set(loops) == {"fast", "profile"}

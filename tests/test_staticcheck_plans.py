@@ -23,7 +23,7 @@ from repro.core.plan import (
     PrefetchPlan,
 )
 from repro.core.twig import build_plan
-from repro.errors import PlanError, ReproError
+from repro.errors import PlanError
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.profiling.collector import collect_profile
 from repro.staticcheck import BlockGraph, verify_plan, verify_workload
@@ -280,24 +280,14 @@ class TestWorkloadMutations:
 
 
 class TestRunnerIntegration:
-    """--check-plans / REPRO_CHECK_PLANS wiring in ExperimentRunner."""
+    """--check-plans (RunnerSettings.check_plans) wiring in ExperimentRunner."""
 
     SETTINGS = RunnerSettings(
         trace_instructions=30_000, apps=("wordpress",), sample_rate=1
     )
 
-    def test_env_default_and_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_PLANS", "1")
-        assert ExperimentRunner(self.SETTINGS).check_plans is True
-        monkeypatch.setenv("REPRO_CHECK_PLANS", "junk")
-        with pytest.raises(ReproError, match="REPRO_CHECK_PLANS"):
-            ExperimentRunner(self.SETTINGS)
-        # An explicit argument wins over the environment.
-        monkeypatch.setenv("REPRO_CHECK_PLANS", "1")
-        assert ExperimentRunner(self.SETTINGS, check_plans=False).check_plans is False
-
     def test_golden_plan_passes_verification(self):
-        runner = ExperimentRunner(self.SETTINGS, check_plans=True)
+        runner = ExperimentRunner(replace(self.SETTINGS, check_plans=True))
         plan = runner.plan("wordpress")
         assert plan.total_ops() > 0
 
@@ -309,13 +299,12 @@ class TestRunnerIntegration:
             return mutant
 
         monkeypatch.setattr("repro.experiments.runner.build_plan", bad_build)
-        runner = ExperimentRunner(self.SETTINGS, check_plans=True)
+        runner = ExperimentRunner(replace(self.SETTINGS, check_plans=True))
         with pytest.raises(PlanError, match="P102"):
             runner.plan("wordpress")
 
-    def test_verification_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECK_PLANS", raising=False)
-        assert ExperimentRunner(self.SETTINGS).check_plans is False
+    def test_verification_off_by_default(self):
+        assert ExperimentRunner(self.SETTINGS).settings.check_plans is False
 
 
 @pytest.mark.slow

@@ -12,6 +12,7 @@ Pins the three contracts of ``repro.telemetry``:
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,6 @@ from repro.telemetry import (
     read_events,
     render_report,
     summarize,
-    telemetry_from_env,
 )
 
 SETTINGS = RunnerSettings(trace_instructions=30_000, apps=("wordpress",), sample_rate=1)
@@ -157,15 +157,6 @@ class TestTelemetrySink:
         assert ev["event"] == "summary"
         assert ev["metrics"]["counters"]["sim.runs"] == 1
         assert ev["cache"]["hits"] == 3
-
-    def test_telemetry_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert telemetry_from_env() is None
-        path = str(tmp_path / "tel.jsonl")
-        monkeypatch.setenv("REPRO_TELEMETRY", path)
-        sink = telemetry_from_env()
-        assert sink is not None and sink.path == path
-        sink.close()
 
 
 def _span(phase, pid=100, duration=1.0, **fields):
@@ -300,16 +291,13 @@ class TestReport:
 
 
 class TestRunnerIntegration:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    def test_disabled_by_default(self):
         assert ExperimentRunner(SETTINGS).telemetry is None
 
     def test_serial_run_emits_all_five_phases(self, tmp_path):
         path = str(tmp_path / "tel.jsonl")
         cache = ResultCache(str(tmp_path / "cache"))
-        runner = ExperimentRunner(
-            SETTINGS, cache=cache, telemetry=TelemetrySink(path)
-        )
+        runner = ExperimentRunner(replace(SETTINGS, telemetry_path=path), cache=cache)
         # baseline covers build/trace/simulate; twig adds profile+plan.
         runner.run("wordpress", "baseline")
         runner.run("wordpress", "twig")
@@ -334,9 +322,8 @@ class TestRunnerIntegration:
         cold = ExperimentRunner(SETTINGS, cache=ResultCache(cache_dir))
         cold.run("wordpress", "baseline")
         warm = ExperimentRunner(
-            SETTINGS,
+            replace(SETTINGS, telemetry_path=path),
             cache=ResultCache(cache_dir),
-            telemetry=TelemetrySink(path),
         )
         warm.run("wordpress", "baseline")
         warm.telemetry.close()
@@ -346,7 +333,7 @@ class TestRunnerIntegration:
 
     def test_sim_counters_recorded_once_per_run(self, tmp_path):
         runner = ExperimentRunner(
-            SETTINGS, telemetry=TelemetrySink(str(tmp_path / "tel.jsonl"))
+            replace(SETTINGS, telemetry_path=str(tmp_path / "tel.jsonl"))
         )
         result = runner.run("wordpress", "baseline")
         counters = runner.telemetry.registry.counters
@@ -356,11 +343,10 @@ class TestRunnerIntegration:
         assert counters["sim.btb_misses"] == result.btb_misses
 
     @pytest.mark.slow
-    def test_pool_workers_feed_one_log(self, monkeypatch, tmp_path):
+    def test_pool_workers_feed_one_log(self, tmp_path):
         path = str(tmp_path / "tel.jsonl")
-        # Via the environment, as --telemetry does: workers inherit it.
-        monkeypatch.setenv("REPRO_TELEMETRY", path)
-        runner = ExperimentRunner(SETTINGS, jobs=2)
+        # Via the settings, as --telemetry does: workers receive them.
+        runner = ExperimentRunner(replace(SETTINGS, telemetry_path=path), jobs=2)
         assert runner.telemetry is not None
         runner.warm(
             [("wordpress", "baseline"), ("wordpress", "ideal_btb")], jobs=2
@@ -382,7 +368,6 @@ class TestCLI:
         monkeypatch.setenv("REPRO_APPS", "wordpress")
         monkeypatch.setenv("REPRO_TRACE_INSTRUCTIONS", "60000")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "_GLOBAL_RUNNER", None)
@@ -403,10 +388,9 @@ class TestCLI:
         assert "simulate" in report
         assert "cache:" in report
 
-    def test_report_without_path_is_a_clean_error(self, capsys, monkeypatch):
+    def test_report_without_path_is_a_clean_error(self, capsys):
         from repro.experiments.__main__ import main
 
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         assert main(["telemetry-report"]) == 2
         assert "needs a log path" in capsys.readouterr().err
 
@@ -415,28 +399,6 @@ class TestCLI:
 
         assert main(["telemetry-report", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_tools_wrapper(self, capsys, tmp_path):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "telemetry_report_tool",
-            os.path.join(
-                os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                "tools",
-                "telemetry_report.py",
-            ),
-        )
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-
-        sink = TelemetrySink(str(tmp_path / "tel.jsonl"))
-        with sink.span("simulate", app="wordpress", system="baseline"):
-            pass
-        sink.close()
-        assert tool.main([sink.path]) == 0
-        assert "per-phase wall time" in capsys.readouterr().out
-        assert tool.main([str(tmp_path / "missing.jsonl")]) == 2
 
 
 class TestZeroOverheadContract:
@@ -447,16 +409,8 @@ class TestZeroOverheadContract:
         sink.close()
         assert "plan_build" in render_report(sink.path)
 
-    def test_config_rejects_directory_path(self, monkeypatch, tmp_path):
-        from repro.config import telemetry_path_from_env
+    def test_config_rejects_directory_path(self, tmp_path):
         from repro.errors import ConfigError
 
-        monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path))
         with pytest.raises(ConfigError):
-            telemetry_path_from_env()
-
-    def test_blank_env_means_off(self, monkeypatch):
-        from repro.config import telemetry_path_from_env
-
-        monkeypatch.setenv("REPRO_TELEMETRY", "  ")
-        assert telemetry_path_from_env() is None
+            replace(SETTINGS, telemetry_path=str(tmp_path))

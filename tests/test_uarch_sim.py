@@ -122,21 +122,24 @@ class TestWarmup:
     def test_warmup_equal_to_trace_rejected_in_both_modes(
         self, tiny_module_workload, tiny_module_trace, mode
     ):
-        cfg = SimConfig()
+        # A sanitized simulator runs the serial loop, a plain one the fast.
+        cfg = SimConfig(sanitize=mode == "serial")
         sim = FrontendSimulator(tiny_module_workload, cfg, BaselineBTBSystem(cfg))
+        assert (sim.fast_block_reason() is None) == (mode == "fast")
         with pytest.raises(SimulationError, match="warmup"):
-            sim.run(tiny_module_trace, warmup_units=len(tiny_module_trace), mode=mode)
+            sim.run(tiny_module_trace, warmup_units=len(tiny_module_trace))
 
     def _parity(self, workload, trace, warmup):
         from repro.validate.parity import assert_results_identical
 
         cfg = SimConfig()
-        serial = FrontendSimulator(workload, cfg, BaselineBTBSystem(cfg)).run(
-            trace, warmup_units=warmup, mode="serial"
-        )
-        fast = FrontendSimulator(workload, cfg, BaselineBTBSystem(cfg)).run(
-            trace, warmup_units=warmup, mode="fast"
-        )
+        serial_cfg = SimConfig(sanitize=True)
+        serial = FrontendSimulator(
+            workload, serial_cfg, BaselineBTBSystem(serial_cfg)
+        ).run(trace, warmup_units=warmup)
+        fast_sim = FrontendSimulator(workload, cfg, BaselineBTBSystem(cfg))
+        assert fast_sim.fast_block_reason() is None
+        fast = fast_sim.run(trace, warmup_units=warmup)
         assert_results_identical(serial, fast, context=f"warmup={warmup}")
 
     def test_warmup_of_all_but_one_unit_matches_serial(

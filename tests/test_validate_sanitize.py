@@ -17,8 +17,8 @@ import dataclasses
 
 import pytest
 
-from repro.config import BTBConfig, SimConfig, sanitize_from_env
-from repro.errors import ConfigError, InvariantViolation
+from repro.config import BTBConfig, SimConfig
+from repro.errors import InvariantViolation
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import (
     SYSTEMS,
@@ -140,42 +140,6 @@ class TestNegativePaths:
 
 
 class TestConfigPlumbing:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert SimConfig().sanitize is True
-        monkeypatch.setenv("REPRO_SANITIZE", "off")
-        assert SimConfig().sanitize is False
-        monkeypatch.delenv("REPRO_SANITIZE")
-        assert SimConfig().sanitize is False
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "maybe")
-        with pytest.raises(ConfigError):
-            sanitize_from_env()
-
-    def test_env_garbage_is_clean_cli_error(self, monkeypatch, capsys):
-        from repro.experiments.__main__ import main
-
-        monkeypatch.setenv("REPRO_SANITIZE", "maybe")
-        assert main(["fig03"]) == 2
-        assert "REPRO_SANITIZE" in capsys.readouterr().err
-
-    def test_env_garbage_does_not_break_import(self, monkeypatch):
-        # DEFAULT_CONFIG is built at import with sanitize pinned off, so
-        # the package stays importable under a bad env var.
-        import os
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-c", "import repro; print(repro.DEFAULT_CONFIG.sanitize)"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "REPRO_SANITIZE": "maybe"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     def test_with_sanitize(self):
         cfg = SimConfig()
         assert cfg.with_sanitize().sanitize is True
