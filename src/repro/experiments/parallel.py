@@ -107,20 +107,15 @@ def _init_worker(settings, cache_dir: Optional[str]) -> None:
 def _run_request(request: RunRequest):
     """Execute one request; returns ``(result, worker_pid, metrics_delta)``.
 
-    The delta is this request's slice of the worker registry (telemetry
-    on) or ``None`` (telemetry off); the parent merges it so pool-wide
+    The parent has just missed on the request in the disk cache, so the
+    worker simulates and stores it without looking it up again.  The
+    delta is this request's slice of the worker registry (telemetry on)
+    or ``None`` (telemetry off); the parent merges it so pool-wide
     counters aggregate even though workers are separate processes.
     """
     tel = _WORKER_RUNNER.telemetry
     before = tel.registry.snapshot() if tel is not None else None
-    result = _WORKER_RUNNER.run(
-        request.app,
-        request.system,
-        input_idx=request.input_idx,
-        config=request.config,
-        profile_input=request.profile_input,
-        cache_tag=request.cache_tag,
-    )
+    result = _WORKER_RUNNER._compute(*_WORKER_RUNNER._resolve(request))
     delta = tel.registry.diff(before) if tel is not None else None
     return result, os.getpid(), delta
 

@@ -399,7 +399,7 @@ class ExperimentRunner:
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
 
         keys = []
-        pending = []  # (resolved request, memo key, disk-cache fields)
+        pending = []  # (resolved request, memo key)
         seen = set()
         for q in reqs:
             q, key = self._resolve(q)
@@ -410,7 +410,7 @@ class ExperimentRunner:
             fields = self._result_cache_fields(q)
             result = self._cached_payload(fields, result_from_dict)
             if result is None:
-                pending.append((q, key, fields))
+                pending.append((q, key))
             else:
                 self._results[key] = result
 
@@ -421,7 +421,7 @@ class ExperimentRunner:
                 self.settings, [p[0] for p in pending], jobs,
                 cache_dir=cache_dir, telemetry=tel,
             )
-            for (_, key, _), res in zip(pending, outcomes):
+            for (_, key), res in zip(pending, outcomes):
                 if res is not None:
                     self._results[key] = res
                     self.stats.parallel_runs += 1
@@ -430,13 +430,22 @@ class ExperimentRunner:
                 # Requests the pool failed twice; about to re-run serially.
                 tel.registry.inc("parallel.serial_fallbacks", len(pending))
 
-        for q, key, fields in pending:  # serial, and pool fallback
-            result = self._simulate(q)
-            self.stats.simulations += 1
-            if self.cache is not None:
-                self.cache.store(fields, result_to_dict(result))
-            self._results[key] = result
+        for q, key in pending:  # serial, and pool fallback
+            self._compute(q, key)
         return [self._results[key] for key in keys]
+
+    def _compute(self, q: RunRequest, key: tuple) -> SimResult:
+        """Simulate resolved *q*, store it in the disk cache, memoize it.
+
+        No cache lookup: :meth:`warm` has already missed on *q*, in this
+        process or, for a pool worker's request, in the parent.
+        """
+        result = self._simulate(q)
+        self.stats.simulations += 1
+        if self.cache is not None:
+            self.cache.store(self._result_cache_fields(q), result_to_dict(result))
+        self._results[key] = result
+        return result
 
     def _simulate(self, q: RunRequest) -> SimResult:
         """Simulate one resolved request (input and config filled in)."""

@@ -1,9 +1,29 @@
-"""Profile and plan serialization.
+"""Profile, plan and sim-result serialization.
 
 Production workflows collect profiles on one fleet and build plans in
 an offline pipeline, so both artifacts need a stable on-disk format.
 Plain JSON keeps the artifacts inspectable; block indices and PCs are
-ints, windows are nested lists.
+ints.
+
+Each artifact family carries its own schema version:
+
+* profiles and sim results: :data:`SCHEMA_VERSION` (1), so result-cache
+  keys never moved; a profile sample's window is a nested list of
+  ``[block, lead]`` pairs;
+* plans: :data:`PLAN_SCHEMA_VERSION` (2), laid out in int columns so
+  that decoding a plan builds no container per row::
+
+    "table":   [pc, target, kind, pc, target, kind, ...]   3 ints per row
+    "ops":     {"kind": [...], "block": [...],             equal-length
+                "bytes_cost": [...], "entry_count": [...]} int columns
+    "entries": [pc, target, kind, ...]                     3 ints per row
+
+  ``ops.kind`` holds :data:`OP_CODES` codes, and op *i* owns the next
+  ``entry_count[i]`` rows of ``entries``;
+* the plan service's snapshots and wire payloads nest plan versions, a
+  plan plus its diff written as flat ``[block, pc, ...]`` pairs
+  (``repro.service.persist``), and carry their own versions, both 2
+  since plans went columnar.
 """
 
 from __future__ import annotations
@@ -12,9 +32,10 @@ import json
 import os
 import threading
 from dataclasses import fields as dataclass_fields
+from itertools import accumulate, chain
 from typing import IO, Union
 
-from ..core.plan import InjectionOp, PrefetchPlan
+from ..core.plan import OP_COALESCE, OP_PREFETCH, InjectionOp, PrefetchPlan
 from ..errors import CacheError, ProfileError, PlanError
 from ..uarch.results import SimResult
 from .profile import MissProfile
@@ -26,6 +47,13 @@ FORMAT_VERSION = 1
 # clear, typed error — never a KeyError — on unknown or missing
 # versions.
 SCHEMA_VERSION = FORMAT_VERSION
+# Plans moved to the columnar layout in version 2; profiles and sim
+# results (and so every result-cache key) stay at version 1.
+PLAN_SCHEMA_VERSION = 2
+
+# Op kind <-> the int code in a serialized plan's ``ops.kind`` column.
+OP_CODES = {OP_PREFETCH: 0, OP_COALESCE: 1}
+_OP_KINDS = {code: kind for kind, code in OP_CODES.items()}
 
 
 def check_schema_version(data: dict, kind: str, err_cls, expected=None) -> None:
@@ -36,7 +64,7 @@ def check_schema_version(data: dict, kind: str, err_cls, expected=None) -> None:
     else — a missing version or a version this build does not speak —
     raises *err_cls* with an actionable message.  *expected* defaults to
     the profiling-artifact :data:`SCHEMA_VERSION`; other artifact
-    families (e.g. the service snapshot) pass their own.
+    families (plans, the service snapshot) pass their own.
     """
     if expected is None:
         expected = SCHEMA_VERSION
@@ -53,8 +81,27 @@ def check_schema_version(data: dict, kind: str, err_cls, expected=None) -> None:
         )
 
 
-# Backwards-compatible name for in-package callers.
-_check_schema_version = check_schema_version
+def flat_rows(rows) -> list:
+    """Concatenate equal-width int rows into one flat column."""
+    return list(chain.from_iterable(rows))
+
+
+def int_column(values, what: str, err_cls) -> list:
+    """*values* if it is a list of ints (bools refused), else *err_cls*."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise err_cls(f"{what} must be a list of ints")
+    return values
+
+
+def int_rows(values, width: int, what: str, err_cls) -> tuple:
+    """Cut a flat int column back into *width*-int tuples."""
+    int_column(values, what, err_cls)
+    if len(values) % width:
+        raise err_cls(
+            f"{what} holds {len(values)} ints, not a multiple of {width}"
+        )
+    it = iter(values)
+    return tuple(zip(*[it] * width))
 
 
 def write_json(data, fh: IO[str]) -> None:
@@ -62,9 +109,11 @@ def write_json(data, fh: IO[str]) -> None:
 
     ``json.dump`` always runs CPython's pure-Python encoder, about 5x
     slower than ``json.dumps`` for the same bytes.  Encoding each
-    top-level value of a dict, and each element of a top-level list,
-    with ``json.dumps`` keeps the C encoder while only one piece (one
-    shard or plan of a service snapshot) is held in memory at a time.
+    top-level value of a dict with ``json.dumps`` keeps the C encoder.
+    A top-level list of containers (a snapshot's shards or plans) is
+    written one element at a time, so only one piece is held in memory
+    at once; a flat list of scalars (a plan's columns) is encoded
+    whole, since splitting it costs a call per int.
     """
     if not isinstance(data, dict) or not all(isinstance(k, str) for k in data):
         fh.write(json.dumps(data))
@@ -72,7 +121,7 @@ def write_json(data, fh: IO[str]) -> None:
     sep = "{"
     for key, value in data.items():
         fh.write(f"{sep}{json.dumps(key)}: ")
-        if isinstance(value, list) and value:
+        if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
             item_sep = "["
             for item in value:
                 fh.write(item_sep)
@@ -139,7 +188,7 @@ def profile_from_dict(data: dict) -> MissProfile:
     """Rebuild a profile from :func:`profile_to_dict` output."""
     if data.get("kind") != "miss_profile":
         raise ProfileError("not a serialized miss profile")
-    _check_schema_version(data, "miss profile", ProfileError)
+    check_schema_version(data, "miss profile", ProfileError)
     profile = MissProfile(
         app_name=data.get("app_name", ""), input_label=data.get("input_label", "")
     )
@@ -178,51 +227,75 @@ def load_profile(fh: Union[str, IO]) -> MissProfile:
 # ----------------------------------------------------------------------
 
 def plan_to_dict(plan: PrefetchPlan) -> dict:
-    """JSON-ready representation of a prefetch plan."""
+    """JSON-ready, columnar representation of a prefetch plan."""
+    ops = [op for block_ops in plan.ops_by_block.values() for op in block_ops]
     return {
-        "format": FORMAT_VERSION,
-        "schema_version": SCHEMA_VERSION,
+        "format": PLAN_SCHEMA_VERSION,
+        "schema_version": PLAN_SCHEMA_VERSION,
         "kind": "prefetch_plan",
         "app_name": plan.app_name,
         "misses_targeted": plan.misses_targeted,
         "misses_with_site": plan.misses_with_site,
-        "table": [list(e) for e in plan.table],
-        "ops": [
-            {
-                "kind": op.kind,
-                "block": op.block,
-                "entries": [list(e) for e in op.entries],
-                "bytes_cost": op.bytes_cost,
-            }
-            for ops in plan.ops_by_block.values()
-            for op in ops
-        ],
+        "table": flat_rows(plan.table),
+        "ops": {
+            "kind": [OP_CODES[op.kind] for op in ops],
+            "block": [op.block for op in ops],
+            "bytes_cost": [op.bytes_cost for op in ops],
+            "entry_count": [len(op.entries) for op in ops],
+        },
+        "entries": flat_rows(row for op in ops for row in op.entries),
     }
 
 
 def plan_from_dict(data: dict) -> PrefetchPlan:
-    """Rebuild a plan from :func:`plan_to_dict` output."""
-    if data.get("kind") != "prefetch_plan":
+    """Rebuild a plan from :func:`plan_to_dict` output.
+
+    Each column is checked in bulk before any op is built, and every op
+    still goes through :class:`InjectionOp` (kind, entry-count checks)
+    and :meth:`PrefetchPlan.add_op`.
+    """
+    if not isinstance(data, dict) or data.get("kind") != "prefetch_plan":
         raise PlanError("not a serialized prefetch plan")
-    _check_schema_version(data, "prefetch plan", PlanError)
-    plan = PrefetchPlan(
-        app_name=data.get("app_name", ""),
-        table=tuple(tuple(e) for e in data.get("table", [])),
-        misses_targeted=int(data.get("misses_targeted", 0)),
-        misses_with_site=int(data.get("misses_with_site", 0)),
+    check_schema_version(
+        data, "prefetch plan", PlanError, expected=PLAN_SCHEMA_VERSION
     )
     ops = data.get("ops")
     if ops is None:
         raise PlanError("serialized prefetch plan has no 'ops' field")
-    for op in ops:
-        plan.add_op(
-            InjectionOp(
-                kind=op["kind"],
-                block=int(op["block"]),
-                entries=tuple(tuple(e) for e in op["entries"]),
-                bytes_cost=int(op["bytes_cost"]),
-            )
+    if not isinstance(ops, dict):
+        raise PlanError("serialized prefetch plan's 'ops' must be an object")
+    kinds, blocks, costs, counts = (
+        int_column(ops.get(name), f"plan column ops.{name}", PlanError)
+        for name in ("kind", "block", "bytes_cost", "entry_count")
+    )
+    if not len(kinds) == len(blocks) == len(costs) == len(counts):
+        raise PlanError("serialized prefetch plan's op columns differ in length")
+    entries = int_rows(data.get("entries"), 3, "plan column entries", PlanError)
+    if min(counts, default=0) < 0 or sum(counts) != len(entries):
+        raise PlanError(
+            "serialized prefetch plan's entry counts do not split its "
+            f"{len(entries)} entries"
         )
+    targeted, with_site = int_column(
+        [data.get("misses_targeted", 0), data.get("misses_with_site", 0)],
+        "plan counters misses_targeted, misses_with_site",
+        PlanError,
+    )
+    plan = PrefetchPlan(
+        app_name=data.get("app_name", ""),
+        table=int_rows(data.get("table"), 3, "plan column table", PlanError),
+        misses_targeted=targeted,
+        misses_with_site=with_site,
+    )
+    # An unknown kind code passes through for InjectionOp to reject, and
+    # so does the empty slice of a zero count.
+    add = plan.add_op
+    start = 0
+    for kind, block, cost, end in zip(
+        map(_OP_KINDS.get, kinds, kinds), blocks, costs, accumulate(counts)
+    ):
+        add(InjectionOp(kind, block, entries[start:end], cost))
+        start = end
     return plan
 
 
@@ -273,7 +346,7 @@ def result_from_dict(data: dict) -> SimResult:
     """Rebuild a result from :func:`result_to_dict` output."""
     if not isinstance(data, dict) or data.get("kind") != "sim_result":
         raise CacheError("not a serialized sim result")
-    _check_schema_version(data, "sim result", CacheError)
+    check_schema_version(data, "sim result", CacheError)
     kwargs = {}
     try:
         for name in _RESULT_FIELDS:

@@ -54,7 +54,8 @@ from .ingest import IngestAck
 from .persist import plan_version_from_dict, plan_version_to_dict
 
 # Wire-format schema version (independent of artifact/journal schemas).
-WIRE_SCHEMA_VERSION = 1
+# Version 2 sends plan versions in the columnar plan layout.
+WIRE_SCHEMA_VERSION = 2
 
 _SCHEMA_HEADER = "X-Repro-Schema"
 
@@ -426,9 +427,14 @@ class PlanClient:
             payload["deadline_ms"] = deadline_ms
         data = await self._request("POST", "/v1/plan", payload)
         try:
-            return plan_version_from_dict(data["plan_version"])
+            raw = data["plan_version"]
         except KeyError:
             raise TransportError("plan response carries no plan_version") from None
+        try:
+            return plan_version_from_dict(raw)
+        except SnapshotError as exc:
+            # A 200 whose plan does not decode is a malformed response.
+            raise TransportError(str(exc)) from exc
 
     async def stats(self) -> Dict:
         data = await self._request("GET", "/v1/stats")

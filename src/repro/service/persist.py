@@ -33,10 +33,12 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import SnapshotError
+from ..errors import PlanError, SnapshotError
 from ..profiling.profile import MissSample
 from ..profiling.serialize import (
     check_schema_version,
+    flat_rows,
+    int_rows,
     plan_from_dict,
     plan_to_dict,
     write_json_atomic,
@@ -45,7 +47,8 @@ from .build import PlanDiff, PlanVersion
 from .ingest import ShardKey, ShardState
 
 # Snapshot schema version (independent of profile/plan/journal schemas).
-PERSIST_SCHEMA_VERSION = 1
+# Version 2 holds plans and plan diffs in the columnar plan layout.
+PERSIST_SCHEMA_VERSION = 2
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
@@ -159,6 +162,8 @@ def shard_from_dict(data: dict, buffer) -> ShardState:
 # ----------------------------------------------------------------------
 
 def plan_version_to_dict(version: PlanVersion) -> dict:
+    """JSON-ready *version*: the columnar plan, the diff as flat pairs."""
+    diff = version.diff
     return {
         "app": version.key[0],
         "input": version.key[1],
@@ -168,30 +173,32 @@ def plan_version_to_dict(version: PlanVersion) -> dict:
         "checked": version.checked,
         "plan": plan_to_dict(version.plan),
         "diff": {
-            "added": [list(s) for s in version.diff.added],
-            "dropped": [list(s) for s in version.diff.dropped],
-            "retargeted": [list(s) for s in version.diff.retargeted],
+            "added": flat_rows(diff.added),
+            "dropped": flat_rows(diff.dropped),
+            "retargeted": flat_rows(diff.retargeted),
         },
     }
 
 
 def plan_version_from_dict(data: dict) -> PlanVersion:
+    """Rebuild a :func:`plan_version_to_dict` dict; a fault is a SnapshotError."""
     try:
-        diff = data["diff"]
+        # The plan first: its schema version is the most telling fault.
+        plan = plan_from_dict(data["plan"])
+        diff = {
+            name: int_rows(data["diff"][name], 2, f"diff column {name}", ValueError)
+            for name in ("added", "dropped", "retargeted")
+        }
         return PlanVersion(
             key=(data["app"], data["input"]),
             version=int(data["version"]),
             generation=int(data["generation"]),
             samples=int(data["samples"]),
-            plan=plan_from_dict(data["plan"]),
-            diff=PlanDiff(
-                added=tuple(tuple(s) for s in diff["added"]),
-                dropped=tuple(tuple(s) for s in diff["dropped"]),
-                retargeted=tuple(tuple(s) for s in diff["retargeted"]),
-            ),
+            plan=plan,
+            diff=PlanDiff(**diff),
             checked=bool(data["checked"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (PlanError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"malformed plan-version snapshot: {exc}") from exc
 
 

@@ -110,6 +110,25 @@ class TestPerAppDispatch:
             assert len({e["pid"] for e in builds if e["app"] == app}) == 1
 
     @pytest.mark.slow
+    def test_cold_run_looks_each_request_up_once(self, tmp_path):
+        # The parent misses on every request before fan-out; the worker
+        # that runs a request must not look it up again.
+        log = str(tmp_path / "telemetry.jsonl")
+        runner = ExperimentRunner(
+            replace(TWO_APPS, telemetry_path=log),
+            cache=ResultCache(str(tmp_path / "cache")),
+            jobs=2,
+        )
+        requests = [RunRequest("wordpress", "baseline"), RunRequest("drupal", "baseline")]
+        runner.warm(requests)
+        runner.telemetry.close()
+        assert runner.stats.parallel_runs == len(requests)
+        loads = [e for e in read_events(log) if e["event"] == "cache_load"]
+        assert [e["outcome"] for e in loads] == ["miss"] * len(requests)
+        assert len({e["key"] for e in loads}) == len(requests)
+        assert {e["pid"] for e in loads} == {os.getpid()}
+
+    @pytest.mark.slow
     def test_one_app_is_split_across_the_pool(self, tmp_path):
         sink = TelemetrySink(str(tmp_path / "telemetry.jsonl"))
         systems = ("baseline", "ideal_btb", "ideal_icache", "shotgun", "confluence")

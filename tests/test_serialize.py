@@ -2,15 +2,20 @@
 
 import io
 import json
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.config import SimConfig
+from repro.core.plan import OP_COALESCE, OP_PREFETCH, InjectionOp, PrefetchPlan
 from repro.core.twig import build_plan, run_with_plan
 from repro.errors import PlanError, ProfileError
 from repro.profiling.collector import collect_profile
 from repro.profiling.profile import MissProfile
 from repro.profiling.serialize import (
+    PLAN_SCHEMA_VERSION,
     SCHEMA_VERSION,
     load_plan,
     load_profile,
@@ -22,6 +27,57 @@ from repro.profiling.serialize import (
     save_profile,
     write_json,
 )
+
+
+# PCs up to 2**48 and a few blocks, so that several ops share a block.
+pcs = st.integers(min_value=0, max_value=1 << 48)
+rows = st.tuples(pcs, pcs, st.integers(min_value=0, max_value=7))
+blocks = st.integers(min_value=0, max_value=5)
+counts = st.integers(min_value=0, max_value=1 << 20)
+injection_ops = st.one_of(
+    st.builds(
+        lambda block, row, cost: InjectionOp(OP_PREFETCH, block, (row,), cost),
+        blocks, rows, st.integers(min_value=0, max_value=64),
+    ),
+    st.builds(
+        lambda block, entries, cost: InjectionOp(
+            OP_COALESCE, block, tuple(entries), cost
+        ),
+        blocks, st.lists(rows, min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=64),
+    ),
+)
+
+
+@st.composite
+def plans(draw) -> PrefetchPlan:
+    """Random plans: both op kinds, any table (often empty)."""
+    plan = PrefetchPlan(
+        app_name=draw(st.text(max_size=8)),
+        table=tuple(draw(st.lists(rows, max_size=12))),
+        misses_targeted=draw(counts),
+        misses_with_site=draw(counts),
+    )
+    for op in draw(st.lists(injection_ops, max_size=24)):
+        plan.add_op(op)
+    return plan
+
+
+# A plan exactly as schema version 1 wrote it: a list of rows for the
+# table, and one dict per op.
+V1_PLAN = {
+    "format": 1,
+    "schema_version": 1,
+    "kind": "prefetch_plan",
+    "app_name": "x",
+    "misses_targeted": 2,
+    "misses_with_site": 2,
+    "table": [[64, 128, 1]],
+    "ops": [
+        {"kind": "brprefetch", "block": 3, "entries": [[64, 128, 1]],
+         "bytes_cost": 6},
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +140,7 @@ class TestSchemaVersion:
     def test_writers_stamp_schema_version(self, artifacts):
         _, _, _, profile, plan = artifacts
         assert profile_to_dict(profile)["schema_version"] == SCHEMA_VERSION
-        assert plan_to_dict(plan)["schema_version"] == SCHEMA_VERSION
+        assert plan_to_dict(plan)["schema_version"] == PLAN_SCHEMA_VERSION
 
     def test_legacy_format_only_files_still_load(self, artifacts):
         _, _, _, profile, plan = artifacts
@@ -122,7 +178,9 @@ class TestSchemaVersion:
                 {"kind": "miss_profile", "format": 1, "app": "x", "input": "0"}
             )
         with pytest.raises(PlanError, match="ops"):
-            plan_from_dict({"kind": "prefetch_plan", "format": 1, "app": "x"})
+            plan_from_dict(
+                {"kind": "prefetch_plan", "format": PLAN_SCHEMA_VERSION, "app": "x"}
+            )
 
 
 class TestPlanRoundTrip:
@@ -152,6 +210,78 @@ class TestPlanRoundTrip:
     def test_rejects_wrong_version(self):
         with pytest.raises(PlanError):
             plan_from_dict({"kind": "prefetch_plan", "format": 0})
+
+    def test_v1_layout_is_refused_by_version(self):
+        with pytest.raises(PlanError, match="version 1"):
+            plan_from_dict(V1_PLAN)
+
+
+class TestColumnarLayout:
+    """Version 2 plans: flat int rows and equal-length op columns."""
+
+    @given(plans())
+    @settings(max_examples=50)
+    @example(PrefetchPlan(app_name="empty"))
+    def test_json_round_trip_is_exact(self, plan):
+        text = json.dumps(plan_to_dict(plan))
+        assert plan_from_dict(json.loads(text)) == plan
+
+    def test_layout(self):
+        plan = PrefetchPlan(app_name="x", table=((64, 128, 1), (96, 160, 2)))
+        plan.add_op(InjectionOp(OP_COALESCE, 3, ((64, 128, 1), (96, 160, 2)), 8))
+        plan.add_op(InjectionOp(OP_PREFETCH, 3, ((32, 48, 0),), 6))
+        data = plan_to_dict(plan)
+        assert data["table"] == [64, 128, 1, 96, 160, 2]
+        assert data["ops"] == {
+            "kind": [1, 0],
+            "block": [3, 3],
+            "bytes_cost": [8, 6],
+            "entry_count": [2, 1],
+        }
+        assert data["entries"] == [64, 128, 1, 96, 160, 2, 32, 48, 0]
+
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [
+            ("kind", [1, 7], "unknown op kind 7"),
+            ("kind", [-1, 0], "unknown op kind -1"),
+            ("kind", [1, True], "ops.kind must be a list of ints"),
+            ("block", [3, "3"], "ops.block must be a list of ints"),
+            ("bytes_cost", [8], "differ in length"),
+            ("entry_count", [3, 0], "at least one entry"),
+            ("entry_count", [4, -1], "entry counts do not split"),
+            ("entry_count", [2, 2], "entry counts do not split"),
+            ("entries", [64, 128, 1, 96, 160, 2, 32, 48], "not a multiple of 3"),
+            ("table", [64, 128], "not a multiple of 3"),
+            ("table", None, "table must be a list of ints"),
+            ("misses_targeted", "many", "plan counters"),
+        ],
+        ids=[
+            "unknown-kind",
+            "negative-kind",
+            "bool-in-column",
+            "str-in-column",
+            "length-mismatch",
+            "zero-entry-op",
+            "negative-count",
+            "counts-overrun-entries",
+            "entries-not-triples",
+            "table-not-triples",
+            "no-table",
+            "str-counter",
+        ],
+    )
+    def test_column_faults_are_plan_errors(self, column, values, message):
+        plan = PrefetchPlan(app_name="x")
+        plan.add_op(InjectionOp(OP_COALESCE, 3, ((64, 128, 1), (96, 160, 2)), 8))
+        plan.add_op(InjectionOp(OP_PREFETCH, 3, ((32, 48, 0),), 6))
+        data = json.loads(json.dumps(plan_to_dict(plan)))
+        if column in data["ops"]:
+            data["ops"][column] = values
+        else:
+            data[column] = values
+        with pytest.raises(PlanError, match=message):
+            plan_from_dict(data)
 
 
 class TestAtomicSaves:
@@ -185,7 +315,7 @@ class TestAtomicSaves:
         _, _, _, profile, _ = artifacts
         path = str(tmp_path / "profile.json")
         save_profile(profile, path)
-        before = open(path, encoding="utf-8").read()
+        before = Path(path).read_text(encoding="utf-8")
 
         replacement = MissProfile("other", "1")
         replacement.add_sample(0xA, 1, ((2, 30.0), (3, 25.0)))
@@ -194,7 +324,7 @@ class TestAtomicSaves:
             save_profile(replacement, path)
         monkeypatch.undo()
 
-        assert open(path, encoding="utf-8").read() == before
+        assert Path(path).read_text(encoding="utf-8") == before
         clone = load_profile(path)  # still loads, not torn
         assert clone.total_samples == profile.total_samples
         assert not list(tmp_path.glob("*.tmp")), "tmp file left behind"
@@ -205,14 +335,14 @@ class TestAtomicSaves:
         _, _, _, _, plan = artifacts
         path = str(tmp_path / "plan.json")
         save_plan(plan, path)
-        before = open(path, encoding="utf-8").read()
+        before = Path(path).read_text(encoding="utf-8")
 
         self.crashing_dump(monkeypatch, after_chars=25)
         with pytest.raises(self.Boom):
             save_plan(plan, path)
         monkeypatch.undo()
 
-        assert open(path, encoding="utf-8").read() == before
+        assert Path(path).read_text(encoding="utf-8") == before
         assert load_plan(path).table == plan.table
         assert not list(tmp_path.glob("*.tmp")), "tmp file left behind"
 
@@ -246,6 +376,31 @@ class TestJsonWriter:
         old = io.StringIO()
         json.dump(data, old)
         assert buf.getvalue() == old.getvalue()
+
+    @pytest.mark.parametrize(
+        "data, pieces",
+        [
+            ({"rows": [1, 2, 3], "n": 4}, 4),
+            ({"shards": [{"a": 1}, [2]], "n": 4}, 5),
+        ],
+        ids=["flat-column-whole", "containers-one-by-one"],
+    )
+    def test_only_lists_of_containers_are_split(self, data, pieces, monkeypatch):
+        import repro.profiling.serialize as serialize
+
+        real_dumps = json.dumps
+        calls = []
+
+        def dumps(obj, **kwargs):
+            calls.append(obj)
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(serialize.json, "dumps", dumps)
+        buf = io.StringIO()
+        write_json(data, buf)
+        monkeypatch.undo()
+        assert buf.getvalue() == json.dumps(data)
+        assert len(calls) == pieces
 
     def test_profile_bytes_equal_json_dumps(self, artifacts, tmp_path):
         _, _, _, profile, plan = artifacts

@@ -11,17 +11,18 @@ import json
 import pytest
 
 from repro.config import SimConfig
-from repro.core.plan import PrefetchPlan
+from repro.core.plan import OP_COALESCE, OP_PREFETCH, InjectionOp, PrefetchPlan
 from repro.core.twig import build_plan
 from repro.errors import (
     ServiceClosed,
     ServiceError,
     ServiceOverload,
+    SnapshotError,
     TransportError,
 )
 import repro.service.http as http_mod
 from repro.service.bench import collect_sample_stream
-from repro.service.build import plans_equivalent
+from repro.service.build import PlanDiff, PlanVersion, plans_equivalent
 from repro.service.http import (
     WIRE_SCHEMA_VERSION,
     HttpPlanServer,
@@ -573,24 +574,113 @@ class TestMalformedFraming:
         ids=["content-length", "overlong-header", "overlong-status"],
     )
     def test_client_framing_errors_are_typed(self, response, message):
-        async def fake_server(reader, writer):
-            head = await reader.readuntil(b"\r\n\r\n")
-            length = int(head.lower().split(b"content-length:")[1].split()[0])
-            await reader.readexactly(length)
-            writer.write(response)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass  # the client may hang up before reading it all
-            writer.close()
+        with pytest.raises(TransportError, match=message):
+            fetch_from(response)
 
-        async def scenario():
-            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            client = PlanClient("127.0.0.1", port)
-            with pytest.raises(TransportError, match=message):
-                await client.get_plan(APP, "x")
+    def test_fake_server_plan_decodes(self):
+        assert fetch_from(plan_response(plan_version_to_dict(SMALL))) == SMALL
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda pv: pv.pop("diff"), "malformed plan-version snapshot: 'diff'"),
+            (lambda pv: pv["plan"].update(ops=[1, 2]), "'ops' must be an object"),
+            (lambda pv: pv["plan"]["ops"].update(kind=[0, 7]), "unknown op kind 7"),
+            (lambda pv: pv["plan"]["ops"].update(kind=[-1, 1]), "unknown op kind -1"),
+            (lambda pv: pv["plan"]["ops"].update(block=[3]), "differ in length"),
+            (
+                lambda pv: pv["plan"]["ops"].update(bytes_cost=[6, True]),
+                "ops.bytes_cost must be a list of ints",
+            ),
+            (
+                lambda pv: pv["plan"].update(entries=["64"] + pv["plan"]["entries"][1:]),
+                "entries must be a list of ints",
+            ),
+            (
+                lambda pv: pv["plan"]["ops"].update(entry_count=[0, 3]),
+                "at least one entry",
+            ),
+            (
+                lambda pv: pv["plan"]["entries"].pop(),
+                "not a multiple of 3",
+            ),
+        ],
+        ids=[
+            "no-diff",
+            "ops-not-columns",
+            "unknown-kind",
+            "negative-kind",
+            "length-mismatch",
+            "bool-in-column",
+            "str-in-column",
+            "zero-entry-op",
+            "entries-not-triples",
+        ],
+    )
+    def test_malformed_plan_response_is_a_transport_error(self, mutate, message):
+        payload = plan_version_to_dict(SMALL)
+        mutate(payload)
+        with pytest.raises(TransportError, match=message) as info:
+            fetch_from(plan_response(payload))
+        assert isinstance(info.value.__cause__, SnapshotError)
+
+    def test_plan_version_sent_as_a_list_is_a_transport_error(self):
+        with pytest.raises(TransportError, match="malformed plan-version") as info:
+            fetch_from(plan_response([plan_version_to_dict(SMALL)]))
+        assert isinstance(info.value.__cause__, SnapshotError)
+
+
+def _small_version() -> PlanVersion:
+    plan = PrefetchPlan(app_name=APP)
+    plan.add_op(InjectionOp(OP_PREFETCH, 3, ((64, 128, 1),), 6))
+    plan.add_op(InjectionOp(OP_COALESCE, 3, ((64, 128, 1), (96, 160, 2)), 8))
+    return PlanVersion(
+        key=(APP, "x"),
+        version=1,
+        generation=1,
+        samples=3,
+        plan=plan,
+        diff=PlanDiff(added=((3, 64), (3, 96)), dropped=(), retargeted=()),
+        checked=True,
+    )
+
+
+SMALL = _small_version()
+
+
+def plan_response(plan_version) -> bytes:
+    """A well-framed 200 whose body carries *plan_version* as given."""
+    body = json.dumps(
+        {"schema_version": WIRE_SCHEMA_VERSION, "plan_version": plan_version}
+    ).encode()
+    head = (
+        f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n"
+        f"X-Repro-Schema: {WIRE_SCHEMA_VERSION}\r\n\r\n"
+    )
+    return head.encode() + body
+
+
+def fetch_from(response: bytes):
+    """``PlanClient.get_plan`` against a server that answers *response*."""
+
+    async def fake_server(reader, writer):
+        head = await reader.readuntil(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length:")[1].split()[0])
+        await reader.readexactly(length)
+        writer.write(response)
+        try:
+            await writer.drain()
+        except ConnectionError:
+            pass  # the client may hang up before reading it all
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            return await PlanClient("127.0.0.1", port).get_plan(APP, "x")
+        finally:
             server.close()
             await server.wait_closed()
 
-        asyncio.run(scenario())
+    return asyncio.run(scenario())

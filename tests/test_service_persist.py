@@ -6,13 +6,21 @@ from __future__ import annotations
 import json
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.config import SimConfig
+from repro.core.plan import OP_PREFETCH, InjectionOp, PrefetchPlan
 from repro.errors import SnapshotError
 from repro.profiling.profile import MissSample
 from repro.service.bench import collect_sample_stream
-from repro.service.build import IncrementalPlanBuilder, plans_equivalent
+from repro.service.build import (
+    IncrementalPlanBuilder,
+    PlanDiff,
+    PlanVersion,
+    plans_equivalent,
+)
 from repro.service.ingest import IngestBuffer, SampleBatch
 from repro.service.persist import (
     PERSIST_SCHEMA_VERSION,
@@ -24,9 +32,13 @@ from repro.service.persist import (
     shard_from_dict,
     shard_to_dict,
 )
+from repro.service.server import PlanService, ServiceConfig
+from tests.test_serialize import V1_PLAN, pcs, plans
 
 CFG = SimConfig().with_btb(entries=512)
 APP = "tinyapp"
+
+sites = st.lists(st.tuples(pcs, pcs), max_size=10).map(tuple)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +192,59 @@ class TestPlanVersionRoundTrip:
         with pytest.raises(SnapshotError, match="malformed plan-version"):
             plan_version_from_dict({"app": "a", "input": "b"})
 
+    @given(plans(), sites.filter(bool), sites, sites)
+    @settings(max_examples=50)
+    def test_json_round_trip_is_exact(self, plan, added, dropped, retargeted):
+        version = PlanVersion(
+            key=(APP, "0"),
+            version=3,
+            generation=7,
+            samples=11,
+            plan=plan,
+            diff=PlanDiff(added=added, dropped=dropped, retargeted=retargeted),
+            checked=True,
+        )
+        text = json.dumps(plan_version_to_dict(version))
+        assert plan_version_from_dict(json.loads(text)) == version
+
+    def test_diff_is_written_as_flat_pairs(self):
+        diff = PlanDiff(added=((3, 64), (4, 96)), dropped=(), retargeted=((5, 7),))
+        assert plan_version_to_dict(small_version(diff))["diff"] == {
+            "added": [3, 64, 4, 96],
+            "dropped": [],
+            "retargeted": [5, 7],
+        }
+
+    @pytest.mark.parametrize(
+        "diff, message",
+        [
+            ({"added": [3], "dropped": [], "retargeted": []}, "not a multiple of 2"),
+            ({"added": [[3, 64]], "dropped": [], "retargeted": []}, "list of ints"),
+            ({"added": [], "dropped": []}, "retargeted"),
+        ],
+        ids=["odd-pairs", "nested-pairs", "missing-column"],
+    )
+    def test_diff_faults_are_snapshot_errors(self, diff, message):
+        data = plan_version_to_dict(small_version())
+        data["diff"] = diff
+        with pytest.raises(SnapshotError, match=message):
+            plan_version_from_dict(data)
+
+    def test_v1_layout_plan_is_a_snapshot_error(self):
+        data = plan_version_to_dict(small_version())
+        data["plan"] = V1_PLAN
+        with pytest.raises(SnapshotError, match="version 1"):
+            plan_version_from_dict(data)
+
+
+def small_version(diff: PlanDiff = PlanDiff((), (), ())) -> PlanVersion:
+    plan = PrefetchPlan(app_name=APP)
+    plan.add_op(InjectionOp(OP_PREFETCH, 3, ((64, 128, 1),), 6))
+    return PlanVersion(
+        key=(APP, "0"), version=1, generation=1, samples=1,
+        plan=plan, diff=diff, checked=False,
+    )
+
 
 class TestCaptureApply:
     def test_capture_apply_roundtrip(self, tiny_workload, stream_artifacts):
@@ -324,3 +389,43 @@ class TestSnapshotStore:
         store = SnapshotStore(str(tmp_path))
         store.write(self.payload(1))
         assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
+
+
+class TestVersionOneState:
+    """A state directory written before the columnar plan layout."""
+
+    @pytest.mark.parametrize(
+        "stamp", [1, PERSIST_SCHEMA_VERSION], ids=["v1-snapshot", "v1-plan-inside"]
+    )
+    def test_restore_refuses_it_as_a_snapshot_error(
+        self, tmp_path, tiny_workload, stamp
+    ):
+        state = str(tmp_path / "snapshots")
+
+        def service() -> PlanService:
+            return PlanService(
+                workload_for=lambda app: tiny_workload,
+                config=ServiceConfig(snapshot_dir=state),
+                sim_config=CFG,
+            )
+
+        data = capture_snapshot(service(), 1, {})
+        data.update(
+            format=stamp,
+            schema_version=stamp,
+            plans=[
+                {
+                    "app": APP,
+                    "input": "0",
+                    "version": 1,
+                    "generation": 1,
+                    "samples": 2,
+                    "checked": True,
+                    "plan": V1_PLAN,
+                    "diff": {"added": [[3, 64]], "dropped": [], "retargeted": []},
+                }
+            ],
+        )
+        SnapshotStore(state).write(data)
+        with pytest.raises(SnapshotError, match="version 1"):
+            service().restore()
