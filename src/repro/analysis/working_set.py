@@ -73,7 +73,7 @@ def spatial_range_fraction(
     kind_code = workload.kind_code
     branch_pc = workload.branch_pc
     block_start = workload.block_start
-    line_bytes = workload.binary.line_bytes
+    line_bytes = workload.line_bytes
 
     last_uncond_target_line = -(10**9)
     outside = 0

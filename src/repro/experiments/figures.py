@@ -499,7 +499,7 @@ def fig21_static_overhead(runner: Optional[ExperimentRunner] = None) -> Dict:
         plan = r.plan(app)
         wl = r.workload(app)
         per_app[app] = plan.static_instruction_count() / max(
-            1, wl.binary.total_instructions()
+            1, sum(wl.block_instructions)
         )
     return {
         "per_app": per_app,

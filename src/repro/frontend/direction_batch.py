@@ -20,7 +20,10 @@ Two layers:
   tight Python loop over plain lists, unrolled for the default 6-table
   geometry.
 
-Without numpy, or for any other table count, the module falls back to
+numpy is imported on the first batched precompute, not with the
+package, so runs that never simulate (``--list``, warm reruns, the plan
+server) do not pay for it.  Without numpy, or for any other table
+count, the module falls back to
 replaying a private :class:`TageLite` instance, which is exactly as
 fast as the serial path's inline calls but keeps the fast simulator
 loop available.
@@ -32,17 +35,14 @@ zero-tolerance: every returned flag equals the corresponding
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import List, Sequence
 
 from ..config import FrontendConfig
 from .direction import TageLite, _geometric_lengths
 
-try:  # numpy is optional; the pure-Python replay below needs nothing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
+# numpy is optional; the pure-Python replay below needs nothing.
+HAVE_NUMPY = find_spec("numpy") is not None
 
 
 def direction_outcome_stream(
@@ -61,7 +61,7 @@ def direction_outcome_stream(
         raise ValueError("pcs and takens must have equal length")
     if len(pcs) == 0:
         return []
-    if _np is None or config.tage_tables != 6:
+    if not HAVE_NUMPY or config.tage_tables != 6:
         return _replay_outcomes(config, pcs, takens)
     return _batched_outcomes(config, pcs, takens)
 
@@ -86,7 +86,9 @@ def _packed_windows(bits, width: int, n: int):
     (newest in bit 0) into one integer — the building block from which
     any aligned fold chunk is a mask away.
     """
-    out = _np.zeros(n, dtype=_np.int64)
+    import numpy as np
+
+    out = np.zeros(n, dtype=np.int64)
     for k in range(width):
         if k == 0:
             out |= bits
@@ -103,10 +105,12 @@ def _batched_folds(takens, lengths: Sequence[int], out_len: int, n: int):
     shifted in from a zero start: the XOR of the ``out_len``-wide
     chunks of the newest ``lengths[t]`` history bits.
     """
+    import numpy as np
+
     packed = _packed_windows(takens, out_len, n)
     folds = []
     for length in lengths:
-        fold = _np.zeros(n, dtype=_np.int64)
+        fold = np.zeros(n, dtype=np.int64)
         lo = 0
         while lo < length:
             chunk = min(out_len, length - lo)
@@ -136,9 +140,11 @@ def _batched_outcomes(
         n_tables, config.tage_min_history, config.tage_max_history
     )
 
+    import numpy as np
+
     n = len(pcs)
-    pc = _np.asarray(pcs, dtype=_np.int64)
-    tk = _np.asarray(takens, dtype=_np.int64)
+    pc = np.asarray(pcs, dtype=np.int64)
+    tk = np.asarray(takens, dtype=np.int64)
     folded_idx = _batched_folds(tk, lengths, index_bits, n)
     folded_tag = _batched_folds(tk, lengths, tag_bits, n)
     idx_cols = [

@@ -1,10 +1,13 @@
 """The Binary: an indexed collection of basic blocks.
 
-A :class:`Binary` is the static view of a program that both the
-workload generator and the simulator share.  It provides the lookups a
-hardware predecoder would perform (branches per cache line, used by the
-Shotgun and Confluence models) and the lookups Twig's link-time pass
-performs (block containing an address, branch at a PC).
+A :class:`Binary` is the object view of a program: one
+:class:`BasicBlock` (and :class:`Branch`) per block, with the lookups
+a hardware predecoder would perform (branches per cache line) and the
+lookups Twig's link-time pass performs (block containing an address,
+branch at a PC).  Workloads are built and simulated as per-block
+columns (:class:`~repro.workloads.cfg.Workload`); ``Workload.binary``
+builds this view from them on request, for tests, examples and
+analysis.  The predecoder baselines use the workload's own line index.
 """
 
 from __future__ import annotations

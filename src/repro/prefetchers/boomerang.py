@@ -17,7 +17,7 @@ from typing import Optional
 from ..config import SimConfig
 from ..frontend.btb import BTB
 from ..frontend.prefetch_buffer import PrefetchBuffer
-from ..workloads.cfg import KIND_FROM_CODE, Workload
+from ..workloads.cfg import DIRECT_KIND_CODES, KIND_FROM_CODE, Workload
 from .base import BTBSystem, LOOKUP_COVERED, LOOKUP_HIT, LOOKUP_MISS
 
 # Predecoding a fetched line takes a couple of cycles past arrival.
@@ -31,11 +31,10 @@ class BoomerangBTBSystem(BTBSystem):
 
     def __init__(self, workload: Workload, config: Optional[SimConfig] = None):
         self.workload = workload
-        self.binary = workload.binary
         self.config = config if config is not None else SimConfig()
         self.btb = BTB(self.config.frontend.btb)
         self.buffer = PrefetchBuffer(self.config.frontend.prefetch_buffer_entries)
-        self.line_bytes = self.binary.line_bytes
+        self.line_bytes = workload.line_bytes
 
     def lookup(self, pc: int, kind_code: int, now: int) -> int:
         if self.btb.lookup(pc) is not None:
@@ -57,9 +56,12 @@ class BoomerangBTBSystem(BTBSystem):
         ``now`` is the line's arrival cycle (FDIP issue + latency).
         """
         ready = now + PREDECODE_EXTRA_LATENCY
-        for branch in self.binary.branches_in_line(line):
-            if branch.kind.is_direct and self.btb.peek(branch.pc) is None:
-                self.buffer.insert(branch.pc, branch.target, branch.kind, ready)
+        wl = self.workload
+        for b in wl.line_branches.get(line, ()):
+            kc = wl.kind_code[b]
+            pc = wl.branch_pc[b]
+            if kc in DIRECT_KIND_CODES and self.btb.peek(pc) is None:
+                self.buffer.insert(pc, wl.branch_target[b], KIND_FROM_CODE[kc], ready)
 
     def prefetches_issued(self) -> int:
         return self.buffer.inserts

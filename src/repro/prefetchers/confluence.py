@@ -54,9 +54,8 @@ class ConfluenceBTBSystem(BTBSystem):
         replay_depth: int = DEFAULT_REPLAY_DEPTH,
     ):
         self.workload = workload
-        self.binary = workload.binary
         self.config = config if config is not None else SimConfig()
-        self.line_bytes = self.binary.line_bytes
+        self.line_bytes = workload.line_bytes
         self.line_capacity = line_capacity
         # AirBTB: LRU over lines; per line, a map from branch PC to
         # [used_flag, visible_cycle].  Entries predecoded from a line
@@ -137,11 +136,12 @@ class ConfluenceBTBSystem(BTBSystem):
                 entry_map[demanded_pc][0] = True
                 entry_map[demanded_pc][1] = 0.0
             return
-        branches = self.binary.branches_in_line(line)
+        branch_pc = self.workload.branch_pc
         entry_map = {}
-        for br in branches:
-            demanded = demanded_pc is not None and br.pc == demanded_pc
-            entry_map[br.pc] = [demanded, 0.0 if demanded else visible]
+        for b in self.workload.line_branches.get(line, ()):
+            pc = branch_pc[b]
+            demanded = demanded_pc is not None and pc == demanded_pc
+            entry_map[pc] = [demanded, 0.0 if demanded else visible]
             if not demanded:
                 self._issued += 1
         if len(self._lines) >= self.line_capacity:

@@ -55,13 +55,12 @@ class ShotgunBTBSystem(BTBSystem):
         spatial_range: int = SPATIAL_RANGE_LINES,
     ):
         self.workload = workload
-        self.binary = workload.binary
         self.config = config if config is not None else SimConfig()
         # 5120 = 5 ways x 1024 sets; 1536 = 6 ways x 256 sets.
         self.ubtb = BTB(_geometry(ubtb_entries))
         self.cbtb = BTB(_geometry(cbtb_entries))
         self.spatial_range = spatial_range
-        self.line_bytes = self.binary.line_bytes
+        self.line_bytes = workload.line_bytes
         # Per-unconditional-branch recorded footprint: pc -> tuple of lines.
         self._footprints: Dict[int, Tuple[int, ...]] = {}
         # Recording state: lines touched since the last unconditional.
@@ -130,6 +129,10 @@ class ShotgunBTBSystem(BTBSystem):
         predecode of the prefetched target region.  Either way, nothing
         beyond ``spatial_range`` lines from the target is reachable.
         """
+        wl = self.workload
+        line_branches = wl.line_branches
+        kind_code = wl.kind_code
+        branch_pc = wl.branch_pc
         base_line = target // self.line_bytes
         footprint = self._footprints.get(uncond_pc, ())
         lines = set(footprint)
@@ -143,13 +146,14 @@ class ShotgunBTBSystem(BTBSystem):
                 if l1 is not None and l1.contains(line)
                 else PREDECODE_LATENCY_MISS
             )
-            for branch in self.binary.branches_in_line(line):
-                if branch.kind is BranchKind.COND_DIRECT:
-                    if self.cbtb.peek(branch.pc) is None:
+            for b in line_branches.get(line, ()):
+                if kind_code[b] == KIND_COND:
+                    pc = branch_pc[b]
+                    if self.cbtb.peek(pc) is None:
                         self.cbtb.insert(
-                            branch.pc,
-                            branch.target,
-                            branch.kind,
+                            pc,
+                            wl.branch_target[b],
+                            BranchKind.COND_DIRECT,
                             from_prefetch=True,
                             visible_cycle=now + latency,
                         )

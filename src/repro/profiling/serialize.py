@@ -104,6 +104,15 @@ def int_rows(values, width: int, what: str, err_cls) -> tuple:
     return tuple(zip(*[it] * width))
 
 
+def _read_json(fh: IO[str], what: str, err_cls):
+    """``json.load(fh)``, raising *err_cls* (cause chained) for a file
+    that is not JSON text."""
+    try:
+        return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise err_cls(f"{what} is not valid JSON: {exc}") from exc
+
+
 def write_json(data, fh: IO[str]) -> None:
     """Write exactly the text of ``json.dumps(data)`` to *fh*.
 
@@ -186,7 +195,7 @@ def profile_to_dict(profile: MissProfile) -> dict:
 
 def profile_from_dict(data: dict) -> MissProfile:
     """Rebuild a profile from :func:`profile_to_dict` output."""
-    if data.get("kind") != "miss_profile":
+    if not isinstance(data, dict) or data.get("kind") != "miss_profile":
         raise ProfileError("not a serialized miss profile")
     check_schema_version(data, "miss profile", ProfileError)
     profile = MissProfile(
@@ -195,9 +204,17 @@ def profile_from_dict(data: dict) -> MissProfile:
     samples = data.get("samples")
     if samples is None:
         raise ProfileError("serialized miss profile has no 'samples' field")
-    for s in samples:
-        window = tuple((int(b), float(lead)) for b, lead in s["window"])
-        profile.add_sample(int(s["miss_pc"]), int(s["miss_block"]), window)
+    if not isinstance(samples, list):
+        raise ProfileError("serialized miss profile's 'samples' must be a list")
+    for i, s in enumerate(samples):
+        try:
+            window = tuple((int(b), float(lead)) for b, lead in s["window"])
+            miss_pc, miss_block = int(s["miss_pc"]), int(s["miss_block"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProfileError(
+                f"malformed miss profile sample {i}: {exc!r}"
+            ) from exc
+        profile.add_sample(miss_pc, miss_block, window)
     profile.validate()
     return profile
 
@@ -218,8 +235,8 @@ def load_profile(fh: Union[str, IO]) -> MissProfile:
     """Read a profile written by :func:`save_profile`."""
     if isinstance(fh, str):
         with open(fh) as f:
-            return profile_from_dict(json.load(f))
-    return profile_from_dict(json.load(fh))
+            return profile_from_dict(_read_json(f, "miss profile", ProfileError))
+    return profile_from_dict(_read_json(fh, "miss profile", ProfileError))
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +332,8 @@ def load_plan(fh: Union[str, IO]) -> PrefetchPlan:
     """Read a plan written by :func:`save_plan`."""
     if isinstance(fh, str):
         with open(fh) as f:
-            return plan_from_dict(json.load(f))
-    return plan_from_dict(json.load(fh))
+            return plan_from_dict(_read_json(f, "prefetch plan", PlanError))
+    return plan_from_dict(_read_json(fh, "prefetch plan", PlanError))
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,9 @@ cached on the trace and shared by every system simulated over it: the
 runner simulates each trace under six BTB systems, and the expensive
 direction sweep runs once.
 
-numpy accelerates the gathers and the fold precompute when present;
-the pure-Python fallbacks are semantically identical.
+numpy accelerates the gathers and the fold precompute when present
+(imported on the first compile, not with the package); the pure-Python
+fallbacks are semantically identical.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from typing import Dict, List, Tuple
 
 from ..frontend.direction_batch import HAVE_NUMPY, direction_outcome_stream
 from ..workloads.cfg import KIND_COND, KIND_NONE, Workload
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 
 def _tage_signature(frontend_cfg) -> Tuple[int, int, int, int]:
@@ -69,11 +67,13 @@ class CompiledTrace:
         kind_code = workload.kind_code
         branch_pc = workload.branch_pc
         if HAVE_NUMPY:
-            blocks_np = _np.asarray(blocks, dtype=_np.int64)
-            takens_np = _np.asarray(takens, dtype=_np.int64)
-            kinds_np = _np.asarray(kind_code, dtype=_np.int64)[blocks_np]
-            pcs_np = _np.asarray(branch_pc, dtype=_np.int64)[blocks_np]
-            cond_pos = _np.nonzero(kinds_np == KIND_COND)[0]
+            import numpy as np
+
+            blocks_np = np.asarray(blocks, dtype=np.int64)
+            takens_np = np.asarray(takens, dtype=np.int64)
+            kinds_np = np.asarray(kind_code, dtype=np.int64)[blocks_np]
+            pcs_np = np.asarray(branch_pc, dtype=np.int64)[blocks_np]
+            cond_pos = np.nonzero(kinds_np == KIND_COND)[0]
             self.kinds: List[int] = kinds_np.tolist()
             self.pcs: List[int] = pcs_np.tolist()
             self._cond_pcs = pcs_np[cond_pos]
@@ -136,10 +136,12 @@ class CompiledTrace:
             return cached
         correct = self.direction_outcomes(frontend_cfg)
         if HAVE_NUMPY:
-            correct_np = _np.zeros(self.n_units, dtype=bool)
+            import numpy as np
+
+            correct_np = np.zeros(self.n_units, dtype=bool)
             if self.cond_count:
-                correct_np[self._cond_pos] = _np.asarray(
-                    correct, dtype=_np.int64
+                correct_np[self._cond_pos] = np.asarray(
+                    correct, dtype=np.int64
                 ).astype(bool)
             simple = (self._kinds_np == KIND_NONE) | (
                 (self._kinds_np == KIND_COND)
@@ -147,8 +149,8 @@ class CompiledTrace:
                 & correct_np
             )
             if ops_blocks:
-                ops = _np.fromiter(ops_blocks, dtype=_np.int64)
-                simple &= ~_np.isin(self._blocks_np, ops)
+                ops = np.fromiter(ops_blocks, dtype=np.int64)
+                simple &= ~np.isin(self._blocks_np, ops)
             flags = simple.tolist()
         else:
             flags = []

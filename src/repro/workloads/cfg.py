@@ -8,20 +8,28 @@ while Zipf-distributed handler popularity produces the hot-path reuse
 and long cold tail that give data-center applications their
 characteristic BTB behaviour.
 
+The builder writes the program straight into the per-block columns the
+walker, simulator, planner and static checks read (block start, size,
+instructions, branch PC, kind code, target, taken bias, alternate
+targets), in address order.  The ``BasicBlock``/``Branch`` object view
+(:attr:`Workload.binary`) is built from those columns only on request.
+
 The builder is deterministic: the same spec and seed always produce the
 same binary, byte for byte.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, compress, repeat
+from operator import add, lt
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
 from ..isa.binary import Binary
-from ..isa.blocks import BasicBlock
+from ..isa.blocks import DEFAULT_LINE_BYTES, BasicBlock
 from ..isa.branches import Branch, BranchKind
 from .rng import make_rng, zipf_weights
 from .spec import AppSpec, WorkloadInput, validate_mix
@@ -86,77 +94,134 @@ class Function:
         return range(self.first_block, self.first_block + self.n_blocks)
 
 
-class Workload:
-    """A generated program plus the flattened arrays the simulator uses.
+class BlockColumns(NamedTuple):
+    """A program's per-block columns, one entry per block in address order.
 
-    ``blocks`` are in layout order and globally indexed; per-block
-    parallel arrays (``block_start``, ``block_instructions``, ...) let
-    the trace walker and the timing simulator avoid attribute lookups
-    in their inner loops.
+    A block without a branch has ``branch_pc`` and ``target`` -1, kind
+    code :data:`KIND_NONE`, taken bias 0.0 and no alternate targets.
+    Every other branch but a conditional has taken bias 1.0.  Alternate
+    (indirect) targets are block indices.  Blocks that fall through do
+    so into the next block.
     """
+
+    start: List[int]
+    size: List[int]
+    instructions: List[int]
+    branch_pc: List[int]
+    kind_code: List[int]
+    target: List[int]
+    taken_bias: List[float]
+    alt_target_blocks: List[Tuple[int, ...]]
+
+
+# Codes whose branches fall through to the next block when not taken
+# (the object view's ``Branch.fallthrough``).
+_FALLTHROUGH_CODES = frozenset({KIND_COND, KIND_CALL, KIND_CALL_IND, KIND_JUMP_IND})
+_KIND_OF_CODE: Dict[int, Optional[BranchKind]] = {KIND_NONE: None, **KIND_FROM_CODE}
+
+
+def _check_columns(cols: BlockColumns) -> None:
+    """The checks ``BasicBlock``, ``Branch`` and ``Binary`` make, in bulk."""
+    start, size, instrs, pcs, kinds, targets, biases, alts = cols
+    n = len(start)
+    if n == 0:
+        raise WorkloadError("a workload must contain at least one basic block")
+    if any(len(col) != n for col in cols):
+        raise WorkloadError("block columns differ in length")
+    if min(size) <= 0:
+        raise WorkloadError("basic block must occupy at least one byte")
+    if min(instrs) <= 0:
+        raise WorkloadError("basic block must contain at least one instruction")
+    ends = list(map(add, start, size))
+    unknown = set(kinds) - _KIND_OF_CODE.keys()
+    if unknown:
+        raise WorkloadError(f"unknown branch kind codes {sorted(unknown)}")
+    branch_pcs = list(compress(pcs, kinds))
+    for s, pc, e in zip(compress(start, kinds), branch_pcs, compress(ends, kinds)):
+        if not s <= pc < e:
+            raise WorkloadError(
+                f"branch pc {pc:#x} lies outside block [{s:#x}, {e:#x})"
+            )
+    if min(branch_pcs, default=0) < 0 or min(compress(targets, kinds), default=0) < 0:
+        raise WorkloadError("branch pc and target must be non-negative addresses")
+    if not all(0.0 <= b <= 1.0 for b in biases):
+        raise WorkloadError("taken_bias must be a probability")
+    if len(set(branch_pcs)) != len(branch_pcs):
+        raise WorkloadError("duplicate branch pcs")
+    if not all(0 <= b < n for b in chain.from_iterable(alts)):
+        raise WorkloadError("alternate targets must be block indices")
+    if any(map(lt, start[1:], ends)):
+        i = next(i for i in range(1, n) if start[i] < ends[i - 1])
+        raise WorkloadError(
+            f"overlapping basic blocks at {start[i]:#x} "
+            f"(previous ends {ends[i - 1]:#x})"
+        )
+    for i in compress(range(n), map(KIND_COND.__eq__, kinds)):
+        if i + 1 == n or start[i + 1] != ends[i]:
+            raise WorkloadError(
+                f"conditional branch at {pcs[i]:#x} has no fallthrough block "
+                f"at {ends[i]:#x}"
+            )
+
+
+class Workload:
+    """A generated program as per-block columns.
+
+    Blocks are in address order and globally indexed; the parallel
+    lists (``block_start``, ``block_instructions``, ``kind_code``, ...)
+    let the trace walker and the timing simulator avoid attribute
+    lookups in their inner loops.  They are shared read-only by every
+    trace and simulator built over the workload.
+    """
+
+    line_bytes = DEFAULT_LINE_BYTES
 
     def __init__(
         self,
         spec: AppSpec,
-        binary: Binary,
+        columns: BlockColumns,
         functions: Sequence[Function],
         handler_indices: Sequence[int],
         handler_weights: Sequence[float],
         root_function: int,
         build_seed: int,
     ):
+        _check_columns(columns)
         self.spec = spec
-        self.binary = binary
         self.functions: Tuple[Function, ...] = tuple(functions)
         self.handler_indices: Tuple[int, ...] = tuple(handler_indices)
         self.handler_weights: Tuple[float, ...] = tuple(handler_weights)
         self.root_function = root_function
         self.build_seed = build_seed
 
-        blocks = binary.blocks
-        self.n_blocks = len(blocks)
-        self.block_start: List[int] = [b.start for b in blocks]
-        self.block_size: List[int] = [b.size_bytes for b in blocks]
-        self.block_instructions: List[int] = [b.instructions for b in blocks]
-        self.block_lines: List[Tuple[int, ...]] = [b.lines(binary.line_bytes) for b in blocks]
-        # Branch fields (None markers for fallthrough-only blocks).
-        self.branch_pc: List[int] = []
-        self.branch_kind: List[Optional[BranchKind]] = []
-        self.branch_target: List[int] = []
-        self.taken_bias: List[float] = []
-        self._block_by_start: Dict[int, int] = {}
-        for i, b in enumerate(blocks):
-            self._block_by_start[b.start] = i
-            br = b.branch
-            if br is None:
-                self.branch_pc.append(-1)
-                self.branch_kind.append(None)
-                self.branch_target.append(-1)
-                self.taken_bias.append(0.0)
-            else:
-                self.branch_pc.append(br.pc)
-                self.branch_kind.append(br.kind)
-                self.branch_target.append(br.target)
-                self.taken_bias.append(br.taken_bias)
+        (
+            self.block_start,
+            self.block_size,
+            self.block_instructions,
+            self.branch_pc,
+            self.kind_code,
+            self.branch_target,
+            self.taken_bias,
+            self.alt_target_blocks,
+        ) = columns
+        self.n_blocks = len(self.block_start)
+        lb = self.line_bytes
+        self.block_lines: List[Tuple[int, ...]] = [
+            tuple(range(s // lb, (s + z - 1) // lb + 1))
+            for s, z in zip(self.block_start, self.block_size)
+        ]
+        # Branch kinds as enums (None for fallthrough-only blocks).
+        self.branch_kind: List[Optional[BranchKind]] = list(
+            map(_KIND_OF_CODE.__getitem__, self.kind_code)
+        )
+        self._block_by_start: Dict[int, int] = {
+            s: i for i, s in enumerate(self.block_start)
+        }
         # Target block index for taken direct branches (-1 if target is
         # not a block start, which the builder never produces).
-        self.target_block: List[int] = [
-            self._block_by_start.get(t, -1) for t in self.branch_target
-        ]
-        # Integer kind codes for hot loops (see KIND_* constants below).
-        self.kind_code: List[int] = [
-            KIND_CODE[k] if k is not None else KIND_NONE for k in self.branch_kind
-        ]
-        # Alternate indirect targets as block indices.
-        self.alt_target_blocks: List[Tuple[int, ...]] = []
-        for b in blocks:
-            br = b.branch
-            if br is None or not br.alt_targets:
-                self.alt_target_blocks.append(())
-            else:
-                self.alt_target_blocks.append(
-                    tuple(self._block_by_start[t] for t in br.alt_targets)
-                )
+        self.target_block: List[int] = list(
+            map(self._block_by_start.get, self.branch_target, repeat(-1))
+        )
         self._fetch_cycles: Dict[int, Tuple[int, ...]] = {}
 
     def fetch_cycles(self, fetch_width_bytes: int) -> Tuple[int, ...]:
@@ -180,6 +245,55 @@ class Workload:
             lines.update(block_lines)
         return tuple(sorted(lines))
 
+    @cached_property
+    def line_branches(self) -> Dict[int, List[int]]:
+        """Predecode index: cache line -> the blocks whose branch PC lies
+        in it, in PC order; computed once, read-only."""
+        lb = self.line_bytes
+        index: Dict[int, List[int]] = {}
+        for i in compress(range(self.n_blocks), self.kind_code):
+            index.setdefault(self.branch_pc[i] // lb, []).append(i)
+        return index
+
+    @cached_property
+    def binary(self) -> Binary:
+        """Object view: one :class:`BasicBlock` (and :class:`Branch`) per
+        block, built from the columns on first access.
+
+        For tests, examples and analysis; no figure, simulation or plan
+        path reads it.
+        """
+        start = self.block_start
+        blocks = []
+        for i, (s, z, n, pc, kc, t, bias, alts) in enumerate(
+            zip(
+                start,
+                self.block_size,
+                self.block_instructions,
+                self.branch_pc,
+                self.kind_code,
+                self.branch_target,
+                self.taken_bias,
+                self.alt_target_blocks,
+            )
+        ):
+            branch = None
+            if kc != KIND_NONE:
+                branch = Branch(
+                    pc=pc,
+                    kind=KIND_FROM_CODE[kc],
+                    target=t,
+                    fallthrough=s + z if kc in _FALLTHROUGH_CODES else None,
+                    alt_targets=tuple(start[b] for b in alts),
+                    taken_bias=bias,
+                )
+            blocks.append(
+                BasicBlock(
+                    index=i, start=s, size_bytes=z, instructions=n, branch=branch
+                )
+            )
+        return Binary(blocks, self.line_bytes)
+
     def block_index_at(self, start_addr: int) -> int:
         """Block index whose start address is *start_addr*."""
         return self._block_by_start[start_addr]
@@ -190,11 +304,12 @@ class Workload:
 
     def describe(self) -> str:
         """One-line summary used by examples and reports."""
+        n_branches = sum(1 for k in self.kind_code if k != KIND_NONE)
         return (
             f"{self.spec.name}: {len(self.functions)} functions, "
             f"{self.n_blocks} blocks, "
-            f"{self.binary.static_branch_count()} static branches, "
-            f"{self.binary.text_bytes() / (1024 * 1024):.2f} MB text"
+            f"{n_branches} static branches, "
+            f"{sum(self.block_size) / (1024 * 1024):.2f} MB text"
         )
 
 
@@ -234,8 +349,9 @@ def build_workload(spec: AppSpec, seed: int = 0) -> Workload:
        linker produces); a ``far_region_fraction`` of functions is
        placed in a distant library region, creating the large-offset
        tail that motivates prefetch coalescing (Figs 14/15).
-    3. **Materialize** — assign addresses in layout order and build the
-       concrete :class:`~repro.isa.Branch` objects.
+    3. **Materialize** — write each block's columns (address, size,
+       branch PC, kind code, target, bias, alternate targets) in
+       address order; :class:`Workload` checks them in bulk.
     """
     rng = make_rng(spec.name, "build", seed)
     mix = validate_mix(dict(spec.branch_mix))
@@ -321,45 +437,45 @@ def build_workload(spec: AppSpec, seed: int = 0) -> Workload:
             near_cursor = cursor
         block_addrs[fi] = addrs
 
-    # --- pass 3: materialize blocks and branches ------------------------
-    # Blocks are created in address order (Binary sorts by address and
-    # the simulator's fallthrough rule is "next sorted block"), so
-    # indices must be assigned after sorting — far-region functions
-    # interleave with near ones in DFS order but not in address order.
+    # --- pass 3: write the block columns in address order ---------------
+    # Block indices follow addresses (the simulator's fallthrough rule
+    # is "next block"), and far-region functions interleave with near
+    # ones in DFS order but not in address order.  Each function's
+    # blocks are contiguous and functions never overlap, so sorting the
+    # functions by entry address sorts the blocks, and a function's
+    # first block index is the number of blocks before it.
     handlers = funcs_by_level[1]
     if not handlers:
         raise WorkloadError("workload generated no handler functions")
 
-    raw_blocks: List[Tuple[int, int, int, Optional[Branch]]] = []
-    for fi in order:
-        geoms = geoms_per_func[fi]
-        plans = plans_per_func[fi]
+    by_addr = sorted(range(n_functions), key=entry_addr.__getitem__)
+    first_block: List[int] = [0] * n_functions
+    blocks_before = 0
+    for fi in by_addr:
+        first_block[fi] = blocks_before
+        blocks_before += len(geoms_per_func[fi])
+
+    rows = []
+    append = rows.append
+    for fi in by_addr:
         addrs = block_addrs[fi]
-        for bi, ((size, instrs), plan) in enumerate(zip(geoms, plans)):
-            start = addrs[bi]
-            branch = _materialize(
-                plan, start, size, addrs, entry_addr, handlers, spec, bi
+        base = first_block[fi]
+        for (size, instrs), plan, start in zip(
+            geoms_per_func[fi], plans_per_func[fi], addrs
+        ):
+            append(
+                (start, size, instrs)
+                + _materialize(
+                    plan, start, size, addrs, base, entry_addr, first_block, handlers
+                )
             )
-            raw_blocks.append((start, size, instrs, branch))
-    raw_blocks.sort(key=lambda t: t[0])
+    columns = BlockColumns(*map(list, zip(*rows)))
 
-    all_blocks = [
-        BasicBlock(
-            index=i, start=start, size_bytes=size, instructions=instrs, branch=branch
-        )
-        for i, (start, size, instrs, branch) in enumerate(raw_blocks)
-    ]
-    binary = Binary(all_blocks)
-
-    # Function records in sorted-index space: a function's blocks are
-    # contiguous in the address space, so its first block's sorted index
-    # anchors the whole range.
-    index_of_start = {b.start: b.index for b in all_blocks}
     functions: List[Function] = [
         Function(
             index=fi,
             level=func_levels[fi],
-            first_block=index_of_start[entry_addr[fi]],
+            first_block=first_block[fi],
             n_blocks=len(geoms_per_func[fi]),
             entry_addr=entry_addr[fi],
         )
@@ -368,25 +484,30 @@ def build_workload(spec: AppSpec, seed: int = 0) -> Workload:
     weights = list(zipf_weights(len(handlers), spec.popularity_exponent))
     rng.shuffle(weights)  # decouple popularity from layout order
 
-    workload = Workload(
+    return Workload(
         spec=spec,
-        binary=binary,
+        columns=columns,
         functions=functions,
         handler_indices=handlers,
         handler_weights=weights,
         root_function=0,
         build_seed=seed,
     )
-    return workload
 
 
 def _level_terminator_weights(
     spec: AppSpec, mix: Dict[str, float], n_levels: int
-) -> List[List[Tuple[str, float]]]:
-    """Per-level (kind, weight) lists: call density scales with level."""
+) -> List[Tuple[Tuple[str, ...], List[float], float]]:
+    """Per-level terminator kinds and cumulative weights.
+
+    Call density scales with level.  ``(kinds, cum_weights, total)`` is
+    what ``random.choices`` derives from a weight list on every call, so
+    ``kinds[bisect(cum_weights, rng.random() * total, 0, len(kinds) - 1)]``
+    is the draw ``rng.choices(kinds, weights)`` makes.
+    """
     from .spec import DEFAULT_CALL_WEIGHT_BY_LEVEL
 
-    out: List[List[Tuple[str, float]]] = []
+    out: List[Tuple[Tuple[str, ...], List[float], float]] = []
     for level in range(n_levels + 1):
         mult = (
             DEFAULT_CALL_WEIGHT_BY_LEVEL[level - 1]
@@ -397,8 +518,9 @@ def _level_terminator_weights(
         for k, w in mix.items():
             if k in ("call_direct", "call_indirect"):
                 w = w * mult * spec.call_weight_scale
-            weights.append((k, w))
-        out.append(weights)
+            weights.append(w)
+        cum_weights = list(accumulate(weights))
+        out.append((tuple(mix), cum_weights, cum_weights[-1] + 0.0))
     return out
 
 
@@ -416,7 +538,7 @@ def _plan_terminators(
     rng,
     spec: AppSpec,
     n_blocks: int,
-    kind_weights: Sequence[Tuple[str, float]],
+    kind_weights: Tuple[Tuple[str, ...], List[float], float],
     next_pool: Sequence[int],
     deeper_pool: Sequence[int],
     rank: int = 0,
@@ -427,8 +549,9 @@ def _plan_terminators(
     Plans are address-free: intra-function targets are block indices,
     call targets are function indices.
     """
-    kind_names = [k for k, _ in kind_weights]
-    weights = [w for _, w in kind_weights]
+    kind_names, cum_weights, total = kind_weights
+    last_kind = len(kind_names) - 1
+    rnd = rng.random
     rel = rank / level_size  # caller's relative position in its level
 
     def draw_callee() -> Optional[int]:
@@ -448,7 +571,7 @@ def _plan_terminators(
         if bi == n_blocks - 1:
             plans.append(("ret",))
             continue
-        kind = rng.choices(kind_names, weights=weights, k=1)[0]
+        kind = kind_names[bisect(cum_weights, rnd() * total, 0, last_kind)]
         if kind == "cond_direct":
             if bi > 0 and rng.random() < spec.loop_fraction:
                 # Tight loop back-edge spanning 1-3 blocks.
@@ -535,72 +658,64 @@ def _dfs_layout_order(plans_per_func: Sequence[Sequence[tuple]]) -> List[int]:
     return order
 
 
+_NO_BRANCH = (-1, KIND_NONE, -1, 0.0, ())
+
+
 def _materialize(
     plan: tuple,
     start: int,
     size: int,
     addrs: Sequence[int],
+    base: int,
     entry_addr: Sequence[int],
+    first_block: Sequence[int],
     handlers: Sequence[int],
-    spec: AppSpec,
-    bi: int,
-) -> Optional[Branch]:
-    """Turn an address-free terminator plan into a Branch."""
-    branch_pc = start + size - max(2, min(5, size // 4))
-    fallthrough = start + size
+) -> Tuple[int, int, int, float, Tuple[int, ...]]:
+    """An address-free terminator plan's branch columns: (pc, kind code,
+    target, taken bias, alternate target blocks).
+
+    *addrs* are the function's block addresses and *base* its first
+    block index; alternate targets are sorted by address.
+    """
     kind = plan[0]
     if kind is None:
-        return None
-    if kind == "root_dispatch":
-        shown = tuple(entry_addr[h] for h in handlers[: min(64, len(handlers))])
-        return Branch(
-            pc=branch_pc,
-            kind=BranchKind.CALL_INDIRECT,
-            target=shown[0],
-            fallthrough=fallthrough,
-            alt_targets=shown,
-        )
-    if kind == "root_loop":
-        return Branch(
-            pc=branch_pc, kind=BranchKind.UNCOND_DIRECT, target=addrs[0]
-        )
+        return _NO_BRANCH
+    pc = start + size - max(2, min(5, size // 4))
     if kind == "cond":
-        return Branch(
-            pc=branch_pc,
-            kind=BranchKind.COND_DIRECT,
-            target=addrs[plan[1]],
-            fallthrough=fallthrough,
-            taken_bias=plan[2],
-        )
-    if kind == "uncond":
-        return Branch(
-            pc=branch_pc, kind=BranchKind.UNCOND_DIRECT, target=addrs[plan[1]]
-        )
+        return pc, KIND_COND, addrs[plan[1]], plan[2], ()
     if kind == "call":
-        return Branch(
-            pc=branch_pc,
-            kind=BranchKind.CALL_DIRECT,
-            target=entry_addr[plan[1]],
-            fallthrough=fallthrough,
-        )
+        return pc, KIND_CALL, entry_addr[plan[1]], 1.0, ()
+    if kind == "ret":
+        return pc, KIND_RETURN, 0, 1.0, ()
+    if kind == "uncond":
+        return pc, KIND_UNCOND, addrs[plan[1]], 1.0, ()
     if kind == "icall":
-        targets = tuple(sorted(entry_addr[fi] for fi in plan[1]))
-        return Branch(
-            pc=branch_pc,
-            kind=BranchKind.CALL_INDIRECT,
-            target=targets[0],
-            fallthrough=fallthrough,
-            alt_targets=targets,
+        callees = sorted(plan[1], key=entry_addr.__getitem__)
+        return (
+            pc,
+            KIND_CALL_IND,
+            entry_addr[callees[0]],
+            1.0,
+            tuple(first_block[fi] for fi in callees),
         )
     if kind == "ijump":
-        targets = tuple(sorted(addrs[t] for t in plan[1]))
-        return Branch(
-            pc=branch_pc,
-            kind=BranchKind.JUMP_INDIRECT,
-            target=targets[0],
-            fallthrough=fallthrough,
-            alt_targets=targets,
+        targets = plan[1]  # ascending block indices
+        return (
+            pc,
+            KIND_JUMP_IND,
+            addrs[targets[0]],
+            1.0,
+            tuple(base + t for t in targets),
         )
-    if kind == "ret":
-        return Branch(pc=branch_pc, kind=BranchKind.RETURN, target=0)
+    if kind == "root_dispatch":
+        shown = handlers[: min(64, len(handlers))]
+        return (
+            pc,
+            KIND_CALL_IND,
+            entry_addr[shown[0]],
+            1.0,
+            tuple(first_block[h] for h in shown),
+        )
+    if kind == "root_loop":
+        return pc, KIND_UNCOND, addrs[0], 1.0, ()
     raise WorkloadError(f"unhandled plan kind {kind!r}")

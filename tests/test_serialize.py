@@ -183,6 +183,25 @@ class TestSchemaVersion:
             )
 
 
+class TestFileBoundaryErrors:
+    """A malformed file raises the artifact's typed error, cause chained."""
+
+    def test_plan_that_is_not_json(self):
+        with pytest.raises(PlanError, match="not valid JSON") as info:
+            load_plan(io.StringIO("{not json"))
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_profile_sample_without_a_window(self):
+        data = {"kind": "miss_profile", "format": 1, "samples": [{"miss_pc": "x"}]}
+        with pytest.raises(ProfileError, match="sample 0") as info:
+            load_profile(io.StringIO(json.dumps(data)))
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_profile_that_is_a_json_list(self):
+        with pytest.raises(ProfileError, match="not a serialized miss profile"):
+            load_profile(io.StringIO("[1, 2]"))
+
+
 class TestPlanRoundTrip:
     def test_dict_roundtrip_equivalent_plan(self, artifacts):
         _, _, _, _, plan = artifacts

@@ -11,27 +11,18 @@ import pytest
 
 from repro.config import SimConfig
 from repro.errors import TraceError
-from repro.isa.binary import Binary
 from repro.isa.blocks import BasicBlock
 from repro.isa.branches import Branch, BranchKind
 from repro.prefetchers.base import BaselineBTBSystem
 from repro.trace.events import Trace, TraceStats
 from repro.uarch.sim import simulate
 from repro.workloads.cfg import Workload
-from tests.conftest import make_tiny_spec
+from tests.conftest import make_tiny_spec, workload_from_blocks
 
 
 def make_manual_workload(blocks: List[BasicBlock]) -> Workload:
     """Wrap hand-built blocks in a Workload (spec fields are cosmetic)."""
-    return Workload(
-        spec=make_tiny_spec(name="manual"),
-        binary=Binary(blocks),
-        functions=(),
-        handler_indices=(0,),
-        handler_weights=(1.0,),
-        root_function=0,
-        build_seed=0,
-    )
+    return workload_from_blocks(blocks, make_tiny_spec(name="manual"))
 
 
 def straightline_loop(n_blocks: int = 8, size: int = 32) -> Workload:
