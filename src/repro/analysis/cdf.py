@@ -9,7 +9,7 @@ distribution over misses.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..core.candidates import CandidateSelection
 from ..isa.branches import bits_for_offset

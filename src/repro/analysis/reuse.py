@@ -14,7 +14,7 @@ Fenwick tree over reference timestamps, O(log n) per reference.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..trace.events import Trace
 from ..workloads.cfg import DIRECT_KIND_CODES, Workload

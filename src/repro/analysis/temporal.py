@@ -17,7 +17,7 @@ paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import BTBConfig
 from ..frontend.btb import BTB

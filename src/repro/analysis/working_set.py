@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..isa.branches import BranchKind
 from ..trace.events import Trace
 from ..workloads.cfg import (
     KIND_CALL,

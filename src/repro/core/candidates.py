@@ -13,8 +13,8 @@ coverage stops improving.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import TwigConfig
 from ..profiling.profile import MissProfile

@@ -38,7 +38,7 @@ from ..service.bench import Scenario, Shard, _abandon_service, ground_truth
 from ..service.build import plans_equivalent
 from ..service.server import PlanService, ServiceConfig, default_workload_resolver
 from ..telemetry.events import TelemetrySink
-from .canary import CanarySettings
+from .canary import CANARY_FRACTION, CANARY_WINDOWS, CanarySettings
 from .scenarios import (
     SCENARIO_KINDS,
     DriftSchedule,
@@ -132,9 +132,9 @@ def drift_report_to_dict(report: DriftReport) -> Dict:
             "trace_instructions": report.scenario.trace_instructions,
             "phases": PHASES,
             "deployed_fraction": DEPLOYED_FRACTION,
-            "canary_fraction": report.canary.fraction,
+            "canary_fraction": CANARY_FRACTION,
             "window": report.canary.window,
-            "windows": report.canary.windows,
+            "windows": CANARY_WINDOWS,
             "threshold": report.canary.threshold,
             "seed": report.scenario.seed,
         },

@@ -43,6 +43,11 @@ EVENT_RESTAGED = "restaged"
 EVENT_PROMOTED = "promoted"
 EVENT_ROLLED_BACK = "rolled_back"
 
+# The candidate's share of the deterministic traffic split.
+CANARY_FRACTION = 0.5
+# Closed windows each arm needs before a verdict.
+CANARY_WINDOWS = 2
+
 
 @dataclass(frozen=True)
 class CanarySettings:
@@ -50,32 +55,22 @@ class CanarySettings:
 
     ``enabled`` gates the whole stage: when off, every published
     version activates immediately and feedback only feeds the
-    baseline's effectiveness metric (Layer 2 standalone).  ``fraction``
-    is the candidate's share of the deterministic traffic split,
-    ``window`` the per-arm feedback window size, ``windows`` how many
-    closed windows each arm needs before a verdict, ``threshold`` the
-    absolute covered-fraction drop that counts as a regression, and
-    ``seed`` salts both the traffic split and the detector.
+    baseline's effectiveness metric (Layer 2 standalone).  ``window``
+    is the per-arm feedback window size, ``threshold`` the absolute
+    covered-fraction drop that counts as a regression, and ``seed``
+    salts both the traffic split and the detector.  The candidate gets
+    :data:`CANARY_FRACTION` of the traffic, and each arm closes
+    :data:`CANARY_WINDOWS` windows before a verdict.
     """
 
     enabled: bool = False
-    fraction: float = 0.5
     window: int = 64
-    windows: int = 2
     threshold: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.fraction < 1.0):
-            raise DriftError(
-                f"canary fraction must be in (0, 1), got {self.fraction}"
-            )
         if self.window < 1:
             raise DriftError(f"canary window must be >= 1, got {self.window}")
-        if self.windows < 1:
-            raise DriftError(
-                f"canary needs >= 1 window per verdict, got {self.windows}"
-            )
         if not (0.0 <= self.threshold <= 1.0):
             raise DriftError(
                 f"canary threshold must be in [0, 1], got {self.threshold}"
@@ -83,7 +78,7 @@ class CanarySettings:
 
     def detector(self) -> RegressionDetector:
         return RegressionDetector(
-            threshold=self.threshold, windows=self.windows, seed=self.seed
+            threshold=self.threshold, windows=CANARY_WINDOWS, seed=self.seed
         )
 
 
@@ -229,9 +224,7 @@ class CanaryController:
             )
             state.observed += 1
             return None
-        arm = assign_arm(
-            self.settings.seed, key, state.observed, self.settings.fraction
-        )
+        arm = assign_arm(self.settings.seed, key, state.observed, CANARY_FRACTION)
         state.observed += 1
         if arm == "candidate":
             assert state.candidate_tracker is not None
@@ -255,9 +248,8 @@ class CanaryController:
         assert state.candidate is not None
         assert state.baseline_tracker is not None
         assert state.candidate_tracker is not None
-        horizon = self.settings.windows
-        base_score = state.baseline_tracker.mean_score(last=horizon)
-        cand_score = state.candidate_tracker.mean_score(last=horizon)
+        base_score = state.baseline_tracker.mean_score(last=CANARY_WINDOWS)
+        cand_score = state.candidate_tracker.mean_score(last=CANARY_WINDOWS)
         regressed = self._detector.regressed(
             state.baseline_tracker, state.candidate_tracker
         )

@@ -90,10 +90,6 @@ class DeadlineExceeded(ServiceError):
     """A request missed its deadline before a response was ready."""
 
 
-class TransientBuildError(ServiceError):
-    """A plan build failed transiently; the service may retry it."""
-
-
 class FleetError(ServiceError):
     """The sharded multi-process fleet layer failed an operation."""
 
@@ -118,7 +114,7 @@ class SnapshotError(ServiceError):
     Raised by :mod:`repro.service.persist` when a snapshot artifact is
     missing, carries an unknown schema version, or was captured under a
     configuration incompatible with the restoring service (replaying a
-    journal into a differently-shaped sketch or reservoir would diverge
+    journal into a differently sized or seeded reservoir would diverge
     silently instead of converging).
     """
 
@@ -126,7 +122,8 @@ class SnapshotError(ServiceError):
 class TransportError(ServiceError):
     """The HTTP plan transport failed a request.
 
-    Covers malformed requests/responses and wire-format version
+    Covers malformed requests/responses (an ingest sample whose values
+    have the wrong type among them) and wire-format version
     mismatches: both ends stamp every payload with ``schema_version``
     and refuse — with this typed error, never a silent misparse — to
     speak a version they do not understand.

@@ -13,7 +13,6 @@ Figures that sweep a parameter return ``"series"`` instead of
 from __future__ import annotations
 
 import statistics
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.cdf import cdf_at, injection_offsets, offset_cdf
@@ -26,7 +25,6 @@ from ..analysis.working_set import (
 )
 from ..config import BTBConfig, SimConfig
 from ..core.candidates import select_injection_sites
-from ..workloads.apps import PAPER_APPS
 from .parallel import RunRequest
 from .runner import ExperimentRunner, get_runner
 

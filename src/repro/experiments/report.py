@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from ..config import results_dir_from_env
 

@@ -12,7 +12,7 @@ timing loop never allocates:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..config import SimConfig
 from ..frontend.btb import BTB

@@ -17,7 +17,7 @@ simple); bulk transfers complete after an L2-BTB access latency.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import BTBConfig, SimConfig
 from ..frontend.btb import BTB

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from ..config import SimConfig
-from ..workloads.cfg import KIND_FROM_CODE, Workload
+from ..workloads.cfg import Workload
 from .base import BTBSystem, LOOKUP_COVERED, LOOKUP_HIT, LOOKUP_MISS
 
 # AirBTB is kept in sync with the I-cache, so its reach is bounded by

@@ -11,7 +11,7 @@ would.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .profile import MissProfile
 

@@ -1,7 +1,7 @@
 """repro.service — continuous-profiling plan server.
 
 The online half of the Twig pipeline: streaming LBR miss-sample
-ingestion (:mod:`.ingest` over :mod:`.sketch` + :mod:`.reservoir`),
+ingestion (:mod:`.ingest` over :mod:`.reservoir`),
 incremental verified plan builds (:mod:`.build`), and the asyncio
 serving layer with bounded queues, deadlines, shedding, and graceful
 drain (:mod:`.server`).

@@ -72,8 +72,8 @@ def collect_sample_stream(
 
 
 # Service settings under which every sample folds, so served plans must
-# equal offline build_plan: every branch is hot and the reservoir holds
-# any stream a scenario produces.
+# equal offline build_plan: the reservoir holds any stream a scenario
+# produces.
 LOSSLESS = ServiceConfig(
     deadline_ms=5_000, reservoir_capacity=1 << 20, debounce_s=0.0
 )
@@ -396,8 +396,7 @@ def format_service_report(report: ServiceReport) -> str:
     out(
         f"service: {int(counters.get('service.requests', 0))} requests, "
         f"{report.sheds} shed, {report.deadline_expired} deadline-expired, "
-        f"{int(counters.get('service.builds', 0))} builds "
-        f"(+{int(counters.get('service.build_retries', 0))} retries), "
+        f"{int(counters.get('service.builds', 0))} builds, "
         f"churn={int(counters.get('service.plan_churn', 0))}"
     )
     out(

@@ -21,7 +21,8 @@ online==offline parity theorem survives intact:
   replaying the journal into a replacement; shed batches were never
   journaled, which keeps client retries exactly-once safe;
 * **elasticity** — an :class:`Autoscaler` turns live telemetry (queue
-  depth, shed rate, build latency) into grow/shrink/hold decisions,
+  depth, shed rate, build latency) into grow/shrink/hold decisions
+  against the module's threshold constants (``GROW_QUEUE_FRAC``, ...),
   recorded as JSONL allocation-decision lines the way adaptdl's
   monitor loop records elastic reallocations;
 * **drain** — ``stop()`` heals any crashed shard first, then drains
@@ -33,7 +34,16 @@ The per-worker transport is one lockstep IO thread over a
 ``multiprocessing.Pipe``: requests are sent and acknowledged strictly
 FIFO, so per-shard fold order equals journal order — the ordering half
 of parity — and a replayed prefix is always folded before any request
-queued after it.
+queued after it.  Each forwarded request carries ``WORKER_DEADLINE_MS``
+and the router waits ``REQUEST_TIMEOUT_S`` for its answer.
+
+:meth:`FleetRouter.ingest` decodes raw sample rows with value checks
+(:func:`~repro.service.ingest.decode_samples`) and holds every sample
+against its app's block columns
+(:func:`~repro.service.ingest.check_sample_blocks`): a malformed row is
+a :class:`~repro.errors.ServiceError` before the batch is journaled or
+sent to a worker.  The router builds each app's workload once, on its
+first batch, and keeps only the branch PC column.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import queue as queue_mod
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ConfigError, SimConfig
 from ..errors import (
@@ -59,16 +69,34 @@ from ..errors import (
     ServiceOverload,
     WorkerCrashed,
 )
-from ..profiling.profile import MissSample
 from ..telemetry.events import TelemetrySink
 from ..telemetry.metrics import MetricsRegistry
+from ..workloads.apps import get_app
+from ..workloads.cfg import build_workload
 from .build import PlanVersion
-from .ingest import SampleBatch, ShardKey
+from .ingest import SampleBatch, ShardKey, check_sample_blocks, decode_samples
 from .journal import IngestJournal
-from .ring import DEFAULT_VNODES, HashRing
+from .ring import HashRing
 from .server import PlanService, ServiceConfig, default_workload_resolver
 
 DECISION_SCHEMA_VERSION = 1
+
+# The pool never shrinks below one worker.
+MIN_WORKERS = 1
+# Budget the router grants each forwarded request inside the worker.
+WORKER_DEADLINE_MS = 60_000
+# Router-side wait bound on a worker response (covers queue wait,
+# replay backlog, and the build itself).
+REQUEST_TIMEOUT_S = 120.0
+# Autoscaler policy: grow on a shed since the last tick, on the fullest
+# queue at or above GROW_QUEUE_FRAC, or on a mean build at or above
+# GROW_BUILD_LATENCY_S; shrink after SHRINK_IDLE_TICKS consecutive ticks
+# with no shed and every queue at or below SHRINK_QUEUE_FRAC.
+GROW_SHED_DELTA = 1
+GROW_QUEUE_FRAC = 0.75
+GROW_BUILD_LATENCY_S = 30.0
+SHRINK_QUEUE_FRAC = 0.05
+SHRINK_IDLE_TICKS = 3
 
 
 # ----------------------------------------------------------------------
@@ -79,81 +107,38 @@ class FleetConfig:
     """Fleet-layer knobs."""
 
     # Initial worker processes; the autoscaler may grow or shrink the
-    # pool within [min_workers, max_workers].
+    # pool within [MIN_WORKERS, max_workers].
     workers: int = 2
     # Workers folding each shard (primary plus hot spares).
     replicas: int = 1
     # Off: every autoscale_tick records a ``hold`` decision.
     autoscale: bool = False
-    min_workers: int = 1
     max_workers: int = 8
     # Router-side bounded queue per worker (outstanding requests).
     queue_depth: int = 64
-    # Budget the router grants each forwarded request inside the worker.
-    worker_deadline_ms: int = 60_000
-    # Router-side wait bound on a worker response (covers queue wait,
-    # replay backlog, and the build itself).
-    request_timeout_s: float = 120.0
-    ring_vnodes: int = DEFAULT_VNODES
     # multiprocessing start method: auto prefers fork (cheap) and falls
     # back to spawn where fork is unavailable.
     start_method: str = "auto"
     seed: int = 0
-    # Autoscaler policy (consumed by Autoscaler).
-    grow_queue_frac: float = 0.75
-    grow_shed_delta: int = 1
-    grow_build_latency_s: float = 30.0
-    shrink_queue_frac: float = 0.05
-    shrink_idle_ticks: int = 3
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             raise ConfigError(f"fleet workers must be positive, got {self.workers}")
         if self.replicas < 1:
             raise ConfigError(f"fleet replicas must be >= 1, got {self.replicas}")
-        if self.min_workers < 1:
-            raise ConfigError(
-                f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if self.max_workers < self.min_workers:
-            raise ConfigError(
-                f"max_workers ({self.max_workers}) must be >= min_workers "
-                f"({self.min_workers})"
-            )
-        if not (self.min_workers <= self.workers <= self.max_workers):
+        if self.workers > self.max_workers:
             raise ConfigError(
                 f"initial workers ({self.workers}) must lie in "
-                f"[{self.min_workers}, {self.max_workers}]"
+                f"[{MIN_WORKERS}, {self.max_workers}]"
             )
         if self.queue_depth <= 0:
             raise ConfigError(
                 f"fleet queue_depth must be positive, got {self.queue_depth}"
             )
-        if self.worker_deadline_ms <= 0:
-            raise ConfigError(
-                f"worker_deadline_ms must be positive, got {self.worker_deadline_ms}"
-            )
-        if self.request_timeout_s <= 0:
-            raise ConfigError(
-                f"request_timeout_s must be positive, got {self.request_timeout_s}"
-            )
         if self.start_method not in ("auto", "fork", "spawn", "forkserver"):
             raise ConfigError(
                 f"start_method must be auto/fork/spawn/forkserver, "
                 f"got {self.start_method!r}"
-            )
-        if not (0.0 < self.grow_queue_frac <= 1.0):
-            raise ConfigError(
-                f"grow_queue_frac must be in (0, 1], got {self.grow_queue_frac}"
-            )
-        if not (0.0 <= self.shrink_queue_frac < self.grow_queue_frac):
-            raise ConfigError(
-                "shrink_queue_frac must be in [0, grow_queue_frac), got "
-                f"{self.shrink_queue_frac}"
-            )
-        if self.shrink_idle_ticks < 1:
-            raise ConfigError(
-                f"shrink_idle_ticks must be >= 1, got {self.shrink_idle_ticks}"
             )
 
 
@@ -268,7 +253,6 @@ async def _dispatch(service: PlanService, worker_id: str, request: Dict):
             "queue_depth": service.config.queue_depth,
             "deadline_ms": service.config.deadline_ms,
             "reservoir_capacity": service.config.reservoir_capacity,
-            "hot_threshold": service.config.hot_threshold,
             "workers": service.config.workers,
         }
         return snapshot
@@ -458,47 +442,47 @@ class Autoscaler:
         self.idle_ticks = 0
 
     def decide(self, signals: Dict) -> Tuple[str, str]:
-        cfg = self.config
+        max_workers = self.config.max_workers
         workers = signals["workers"]
         max_queue_frac = signals.get("max_queue_frac", 0.0)
         sheds_delta = signals.get("sheds_delta", 0)
         build_latency = signals.get("build_latency_s")
 
         pressure = None
-        if sheds_delta >= cfg.grow_shed_delta:
+        if sheds_delta >= GROW_SHED_DELTA:
             pressure = f"shed {sheds_delta} request(s) since last tick"
-        elif max_queue_frac >= cfg.grow_queue_frac:
+        elif max_queue_frac >= GROW_QUEUE_FRAC:
             pressure = (
                 f"queue {max_queue_frac:.0%} full "
-                f"(threshold {cfg.grow_queue_frac:.0%})"
+                f"(threshold {GROW_QUEUE_FRAC:.0%})"
             )
-        elif build_latency is not None and build_latency >= cfg.grow_build_latency_s:
+        elif build_latency is not None and build_latency >= GROW_BUILD_LATENCY_S:
             pressure = (
                 f"mean build latency {build_latency:.2f}s "
-                f"(threshold {cfg.grow_build_latency_s:.2f}s)"
+                f"(threshold {GROW_BUILD_LATENCY_S:.2f}s)"
             )
 
         if pressure is not None:
             self.idle_ticks = 0
-            if workers >= cfg.max_workers:
-                return "hold", f"{pressure}, but pool at max ({cfg.max_workers})"
+            if workers >= max_workers:
+                return "hold", f"{pressure}, but pool at max ({max_workers})"
             return "grow", pressure
 
-        if max_queue_frac <= cfg.shrink_queue_frac and sheds_delta == 0:
+        if max_queue_frac <= SHRINK_QUEUE_FRAC and sheds_delta == 0:
             self.idle_ticks += 1
-            if self.idle_ticks >= cfg.shrink_idle_ticks:
-                if workers <= cfg.min_workers:
+            if self.idle_ticks >= SHRINK_IDLE_TICKS:
+                if workers <= MIN_WORKERS:
                     return "hold", (
                         f"idle {self.idle_ticks} tick(s), but pool at min "
-                        f"({cfg.min_workers})"
+                        f"({MIN_WORKERS})"
                     )
                 self.idle_ticks = 0
                 return "shrink", (
-                    f"idle {cfg.shrink_idle_ticks} consecutive tick(s) "
-                    f"(queue <= {cfg.shrink_queue_frac:.0%}, no sheds)"
+                    f"idle {SHRINK_IDLE_TICKS} consecutive tick(s) "
+                    f"(queue <= {SHRINK_QUEUE_FRAC:.0%}, no sheds)"
                 )
             return "hold", (
-                f"idle streak {self.idle_ticks}/{cfg.shrink_idle_ticks}"
+                f"idle streak {self.idle_ticks}/{SHRINK_IDLE_TICKS}"
             )
 
         self.idle_ticks = 0
@@ -530,9 +514,9 @@ class FleetRouter:
         self.sim_config = sim_config
         self.telemetry_path = telemetry_path
         self.workload_seed = workload_seed
-        self.ring = HashRing(
-            seed=self.config.seed, vnodes_per_weight=self.config.ring_vnodes
-        )
+        # App -> its workload's branch PC column (ingress block check).
+        self._branch_pcs: Dict[str, Sequence[int]] = {}
+        self.ring = HashRing(seed=self.config.seed)
         # Per-worker snapshot root: each worker gets snapshot_dir/<id>,
         # and ids regenerate w0..wN-1 on a fresh router, so a
         # fleet-wide kill restores every worker from its own snapshots
@@ -661,8 +645,8 @@ class FleetRouter:
             hello = handle.submit(
                 {"kind": "hello"},
                 block=True,
-                timeout=self.config.request_timeout_s,
-            ).result(timeout=self.config.request_timeout_s)
+                timeout=REQUEST_TIMEOUT_S,
+            ).result(timeout=REQUEST_TIMEOUT_S)
         except (ReproError, concurrent.futures.TimeoutError):
             # A worker that dies during the handshake is reaped by the
             # next operation; it simply starts with empty cursors.
@@ -712,7 +696,7 @@ class FleetRouter:
                     futures[worker_id] = handle.submit(
                         {"kind": "drain"},
                         block=True,
-                        timeout=self.config.request_timeout_s,
+                        timeout=REQUEST_TIMEOUT_S,
                     )
                 except WorkerCrashed:
                     self.crashed_workers.append(worker_id)
@@ -720,7 +704,7 @@ class FleetRouter:
             for worker_id, future in sorted(futures.items()):
                 try:
                     worker_stats[worker_id] = future.result(
-                        timeout=self.config.request_timeout_s
+                        timeout=REQUEST_TIMEOUT_S
                     )
                 except (WorkerCrashed, concurrent.futures.TimeoutError) as exc:
                     worker_stats[worker_id] = {"drain_error": str(exc)}
@@ -809,15 +793,18 @@ class FleetRouter:
         queue is full — the batch was *not* journaled and is safe to
         retry.  A later :class:`~repro.errors.WorkerCrashed` on the
         future means the batch *is* journaled and must not be resent.
+        A malformed raw sample row, or a sample that names no block of
+        the app's workload, is a :class:`~repro.errors.ServiceError`
+        before anything is journaled.
         """
         batch = SampleBatch(
             app_name=app_name,
             input_label=input_label,
-            samples=tuple(
-                s if isinstance(s, MissSample) else MissSample(*s) for s in samples
-            ),
+            samples=decode_samples(samples, ServiceError),
             seq=seq,
         )
+        # Outside the lock: an app's first batch builds its workload.
+        check_sample_blocks(batch.samples, self._branch_pc(app_name))
         with self._lock:
             self._check_open()
             self._reap_dead()
@@ -893,10 +880,10 @@ class FleetRouter:
                             "kind": "plan",
                             "app": app_name,
                             "input": input_label,
-                            "deadline_ms": self.config.worker_deadline_ms,
+                            "deadline_ms": WORKER_DEADLINE_MS,
                         },
                         block=True,
-                        timeout=self.config.request_timeout_s,
+                        timeout=REQUEST_TIMEOUT_S,
                     )
                 except WorkerCrashed as exc:
                     last_error = exc
@@ -925,7 +912,7 @@ class FleetRouter:
                     futures[worker_id] = self._handles[worker_id].submit(
                         {"kind": "stats"},
                         block=True,
-                        timeout=self.config.request_timeout_s,
+                        timeout=REQUEST_TIMEOUT_S,
                     )
                 except WorkerCrashed:
                     continue
@@ -989,10 +976,8 @@ class FleetRouter:
             handle = self._handles.get(worker_id)
             if handle is None:
                 raise FleetError(f"unknown fleet worker {worker_id!r}")
-            if len(self._handles) <= self.config.min_workers:
-                raise FleetError(
-                    f"fleet already at min_workers ({self.config.min_workers})"
-                )
+            if len(self._handles) <= MIN_WORKERS:
+                raise FleetError(f"fleet already at min_workers ({MIN_WORKERS})")
             self.ring.remove(worker_id)
             for key in self.journal.keys():
                 for owner in self._owners(key):
@@ -1002,7 +987,7 @@ class FleetRouter:
                 future = handle.submit(
                     {"kind": "drain"},
                     block=True,
-                    timeout=self.config.request_timeout_s,
+                    timeout=REQUEST_TIMEOUT_S,
                 )
                 stats = self._result(future, "drain")
             except WorkerCrashed as exc:
@@ -1051,10 +1036,10 @@ class FleetRouter:
                                 "kind": "forget",
                                 "app": key[0],
                                 "input": key[1],
-                                "deadline_ms": self.config.worker_deadline_ms,
+                                "deadline_ms": WORKER_DEADLINE_MS,
                             },
                             block=True,
-                            timeout=self.config.request_timeout_s,
+                            timeout=REQUEST_TIMEOUT_S,
                         )
                     except (ServiceOverload, WorkerCrashed):
                         pass  # memory-freeing only; correctness unaffected
@@ -1241,7 +1226,7 @@ class FleetRouter:
             handle.submit(
                 self._message(batch),
                 block=True,
-                timeout=self.config.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
             have += 1
             self._delivered[(worker_id, key)] = have
@@ -1253,6 +1238,13 @@ class FleetRouter:
     def _owners(self, key: ShardKey) -> Tuple[str, ...]:
         return self.ring.owners(key, self.config.replicas)
 
+    def _branch_pc(self, app: str) -> Sequence[int]:
+        column = self._branch_pcs.get(app)
+        if column is None:
+            workload = build_workload(get_app(app), seed=self.workload_seed)
+            column = self._branch_pcs[app] = workload.branch_pc
+        return column
+
     def _message(self, batch: SampleBatch) -> Dict:
         return {
             "kind": "ingest",
@@ -1260,7 +1252,7 @@ class FleetRouter:
             "input": batch.input_label,
             "samples": batch.samples,
             "seq": batch.seq,
-            "deadline_ms": self.config.worker_deadline_ms,
+            "deadline_ms": WORKER_DEADLINE_MS,
         }
 
     def _check_open(self, allow_draining: bool = False) -> None:
@@ -1271,9 +1263,9 @@ class FleetRouter:
 
     def _result(self, future: concurrent.futures.Future, kind: str):
         try:
-            return future.result(timeout=self.config.request_timeout_s)
+            return future.result(timeout=REQUEST_TIMEOUT_S)
         except concurrent.futures.TimeoutError:
             raise DeadlineExceeded(
                 f"fleet {kind} request missed its "
-                f"{self.config.request_timeout_s}s router deadline"
+                f"{REQUEST_TIMEOUT_S}s router deadline"
             ) from None

@@ -20,6 +20,11 @@ with :data:`WIRE_SCHEMA_VERSION` (mirrored in the ``X-Repro-Schema``
 header), and both ends refuse unknown versions with a typed
 :class:`~repro.errors.TransportError` rather than misparsing.
 
+The ingest decoder checks every sample value
+(:func:`~repro.service.ingest.decode_samples`): a malformed sample is a
+400 ``TransportError`` before the batch reaches the service's queue or
+its journal.
+
 Service errors cross the wire as ``{"error": {"type", "message"}}``
 with a faithful status code; the client reconstructs the original
 typed exception, so ``ServiceOverload`` (shed, safe to resend) stays
@@ -43,19 +48,18 @@ from ..errors import (
     ServiceError,
     ServiceOverload,
     SnapshotError,
-    TransientBuildError,
     TransportError,
     WorkerCrashed,
 )
-from ..profiling.profile import MissSample
 from ..profiling.serialize import check_schema_version
 from .build import PlanVersion
-from .ingest import IngestAck
+from .ingest import IngestAck, decode_samples, encode_samples
 from .persist import plan_version_from_dict, plan_version_to_dict
 
 # Wire-format schema version (independent of artifact/journal schemas).
-# Version 2 sends plan versions in the columnar plan layout.
-WIRE_SCHEMA_VERSION = 2
+# Version 2 sends plan versions in the columnar plan layout; version 3
+# drops the ingest ack's ``filtered`` count.
+WIRE_SCHEMA_VERSION = 3
 
 _SCHEMA_HEADER = "X-Repro-Schema"
 
@@ -69,7 +73,6 @@ _WIRE_ERRORS = {
         ServiceOverload,
         ServiceClosed,
         DeadlineExceeded,
-        TransientBuildError,
         TransportError,
         SnapshotError,
         FleetError,
@@ -106,27 +109,23 @@ def _check_wire_version(data: dict) -> None:
     )
 
 
-def _samples_to_wire(samples) -> list:
-    out = []
-    for s in samples:
-        if not isinstance(s, MissSample):
-            s = MissSample(*s)
-        out.append([s.miss_pc, s.miss_block, [[b, c] for b, c in s.window]])
-    return out
-
-
-def _samples_from_wire(raw) -> Tuple[MissSample, ...]:
-    try:
-        return tuple(
-            MissSample(
-                miss_pc=pc,
-                miss_block=block,
-                window=tuple((b, c) for b, c in window),
-            )
-            for pc, block, window in raw
+def _shard_key(data: dict, kind: str) -> Tuple[str, str]:
+    """The request's ``(app, input)``; anything but two non-empty
+    strings is a 400, not a crash in a service worker."""
+    app, label = data.get("app"), data.get("input")
+    if not (isinstance(app, str) and app and isinstance(label, str) and label):
+        raise TransportError(
+            f"{kind} request needs both 'app' and 'input' as non-empty strings"
         )
-    except (TypeError, ValueError) as exc:
-        raise TransportError(f"malformed samples payload: {exc}") from exc
+    return app, label
+
+
+def _int_field(data: dict, name: str, default: Optional[int] = None):
+    """An integer request field; another type is a 400, not a crash."""
+    value = data.get(name, default)
+    if value is not None and type(value) is not int:
+        raise TransportError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _ack_to_wire(ack: IngestAck) -> dict:
@@ -136,7 +135,6 @@ def _ack_to_wire(ack: IngestAck) -> dict:
         "generation": ack.generation,
         "received": ack.received,
         "admitted": ack.admitted,
-        "filtered": ack.filtered,
         "dropped": ack.dropped,
     }
 
@@ -148,7 +146,6 @@ def _ack_from_wire(data: dict) -> IngestAck:
             generation=int(data["generation"]),
             received=int(data["received"]),
             admitted=int(data["admitted"]),
-            filtered=int(data["filtered"]),
             dropped=int(data["dropped"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -305,18 +302,15 @@ class HttpPlanServer:
         path = split.path
         if path == "/v1/ingest" and method == "POST":
             data = self._parse_body(body)
-            try:
-                app = data["app"]
-                label = data["input"]
-                samples = data["samples"]
-            except KeyError as exc:
-                raise TransportError(f"ingest payload missing {exc}") from None
+            app, label = _shard_key(data, "ingest")
+            if "samples" not in data:
+                raise TransportError("ingest payload missing 'samples'")
             ack = await self.service.ingest(
                 app,
                 label,
-                _samples_from_wire(samples),
-                seq=int(data.get("seq", 0)),
-                deadline_ms=data.get("deadline_ms"),
+                decode_samples(data["samples"], TransportError),
+                seq=_int_field(data, "seq", 0),
+                deadline_ms=_int_field(data, "deadline_ms"),
             )
             return 200, _wire_body({"ack": _ack_to_wire(ack)})
         if path == "/v1/plan" and method in ("GET", "POST"):
@@ -328,14 +322,9 @@ class HttpPlanServer:
                     "app": (query.get("app") or [None])[0],
                     "input": (query.get("input") or [None])[0],
                 }
-            app = data.get("app")
-            label = data.get("input")
-            if not app or not label:
-                raise TransportError(
-                    "plan request needs both 'app' and 'input'"
-                )
+            app, label = _shard_key(data, "plan")
             version = await self.service.get_plan(
-                app, label, deadline_ms=data.get("deadline_ms")
+                app, label, deadline_ms=_int_field(data, "deadline_ms")
             )
             return 200, self._plan_body(version)
         if path == "/v1/stats" and method == "GET":
@@ -412,7 +401,7 @@ class PlanClient:
             "app": app_name,
             "input": input_label,
             "seq": seq,
-            "samples": _samples_to_wire(samples),
+            "samples": encode_samples(decode_samples(samples, TransportError)),
         }
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms

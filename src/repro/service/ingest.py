@@ -2,35 +2,109 @@
 
 Fleet profilers ship :class:`SampleBatch` objects — a few hundred BTB
 miss samples tagged with their (app, input) shard.  The
-:class:`IngestBuffer` folds each batch into per-shard state:
-
-* a :class:`~repro.service.sketch.CountMinSketch` counts miss-PC
-  occurrences so a hotness threshold can pre-filter cold branches in
-  O(1) space (``hot_threshold=1``, the default, admits everything and
-  keeps the fold lossless);
-* a :class:`~repro.service.reservoir.ReservoirSampler` bounds retained
-  samples per shard, so an unbounded stream folds into a bounded
-  :class:`~repro.profiling.profile.MissProfile`.
+:class:`IngestBuffer` folds each batch into per-shard state: a seeded
+:class:`~repro.service.reservoir.ReservoirSampler` bounds retained
+samples per shard, so an unbounded stream folds into a bounded
+:class:`~repro.profiling.profile.MissProfile`.
 
 ``fold()`` materializes the reservoir as a ``MissProfile`` in retained
-order; when the reservoir never overflowed and the filter admitted
-everything, that profile is sample-for-sample identical to what the
-offline :func:`~repro.profiling.collector.collect_profile` produced on
-the same stream — the property the parity tests pin.
+order; when the reservoir never overflowed, that profile is
+sample-for-sample identical to what the offline
+:func:`~repro.profiling.collector.collect_profile` produced on the same
+stream — the property the parity tests pin.
+
+:func:`encode_samples` and :func:`decode_samples` are the one codec for
+the ``[pc, block, [[block, lead], ...]]`` sample layout that the HTTP
+wire, the WAL and the snapshots share.  The decoder checks every value,
+so a malformed sample is a typed error wherever it is read: at ingress
+before it is queued or journaled, and on restore from a damaged WAL
+line or snapshot.  Ingress then holds each batch against its app's
+workload (:func:`check_sample_blocks`), so a sample the plan build
+could not attribute is refused too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from ..errors import ServiceError
+from ..errors import ReproError, ServiceError
 from ..profiling.profile import MissProfile, MissSample
 from .reservoir import ReservoirSampler
-from .sketch import CountMinSketch
 
 # A shard is one (app, input) profiling population.
 ShardKey = Tuple[str, str]
+
+
+def encode_samples(samples) -> list:
+    """*samples* as JSON-ready rows ``[pc, block, [[block, lead], ...]]``."""
+    return [
+        [s.miss_pc, s.miss_block, [[b, lead] for b, lead in s.window]]
+        for s in samples
+    ]
+
+
+def _checked_sample(row) -> MissSample:
+    pc, block, window = row
+    if type(pc) is not int or pc < 0:
+        raise ValueError(f"miss PC {pc!r} is not an int >= 0")
+    if type(block) is not int or block < 0:
+        raise ValueError(f"miss block {block!r} is not an int >= 0")
+    entries = []
+    for pred, lead in window:
+        if type(pred) is not int or pred < 0:
+            raise ValueError(f"window block {pred!r} is not an int >= 0")
+        kind = type(lead)
+        # lead - lead is 0.0 for a finite float and NaN for inf or NaN.
+        if kind is not int and (kind is not float or lead - lead != 0.0):
+            raise ValueError(f"window lead {lead!r} is not a finite number")
+        entries.append((pred, lead))
+    return MissSample(miss_pc=pc, miss_block=block, window=tuple(entries))
+
+
+def decode_samples(rows, error: Type[ReproError]) -> Tuple[MissSample, ...]:
+    """Rows in the :func:`encode_samples` layout as samples; a fault raises *error*.
+
+    Each row's PC and block must be an ``int >= 0`` (not a ``bool``)
+    and each window entry a pair of an ``int >= 0`` and a finite
+    ``int`` or ``float``; a :class:`MissSample` passes as it is.
+    """
+    try:
+        return tuple(
+            row if isinstance(row, MissSample) else _checked_sample(row)
+            for row in rows
+        )
+    except (TypeError, ValueError) as exc:
+        raise error(f"malformed samples: {exc}") from exc
+
+
+def check_sample_blocks(samples, branch_pc: Sequence[int]) -> None:
+    """Refuse samples that name no block of the app (:class:`ServiceError`).
+
+    *branch_pc* is the app's per-block branch PC column.  Every miss
+    block and window block must index it, and the miss PC must be the
+    branch that ends its block; the plan build indexes the workload's
+    columns with these values, so one such sample would otherwise fail
+    every later build of its shard.
+    """
+    n_blocks = len(branch_pc)
+    try:
+        for s in samples:
+            block = s.miss_block
+            if not 0 <= block < n_blocks or branch_pc[block] != s.miss_pc:
+                raise ServiceError(
+                    f"sample miss PC {s.miss_pc!r} does not end block "
+                    f"{block!r} of the app's {n_blocks}"
+                )
+            for pred, _lead in s.window:
+                if not 0 <= pred < n_blocks:
+                    raise ServiceError(
+                        f"sample window block {pred!r} is not one of the "
+                        f"app's {n_blocks} blocks"
+                    )
+    except (TypeError, ValueError) as exc:
+        # A MissSample object skips decode_samples' value checks.
+        raise ServiceError(f"malformed samples: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -44,9 +118,9 @@ class SampleBatch:
     seq: int = 0
 
     def __post_init__(self) -> None:
-        if not self.app_name:
+        if not (isinstance(self.app_name, str) and self.app_name):
             raise ServiceError("sample batch needs a non-empty app_name")
-        if not self.input_label:
+        if not (isinstance(self.input_label, str) and self.input_label):
             raise ServiceError("sample batch needs a non-empty input_label")
         if not self.samples:
             raise ServiceError("sample batch carries no samples")
@@ -76,9 +150,9 @@ class FeedbackBatch:
     seq: int = 0
 
     def __post_init__(self) -> None:
-        if not self.app_name:
+        if not (isinstance(self.app_name, str) and self.app_name):
             raise ServiceError("feedback batch needs a non-empty app_name")
-        if not self.input_label:
+        if not (isinstance(self.input_label, str) and self.input_label):
             raise ServiceError("feedback batch needs a non-empty input_label")
         if not self.samples:
             raise ServiceError("feedback batch carries no samples")
@@ -95,30 +169,15 @@ class ShardCounters:
     batches: int = 0
     received: int = 0
     admitted: int = 0
-    filtered: int = 0  # shed by the hotness pre-filter
     dropped: int = 0  # offered but not retained (reservoir overflow)
 
 
 class ShardState:
     """Bounded stream state for one (app, input) shard."""
 
-    def __init__(
-        self,
-        key: ShardKey,
-        reservoir_capacity: int,
-        hot_threshold: int = 1,
-        sketch_width: int = 1024,
-        sketch_depth: int = 4,
-        seed: int = 0,
-    ):
-        if hot_threshold < 1:
-            raise ServiceError(
-                f"hot_threshold must be >= 1, got {hot_threshold}"
-            )
+    def __init__(self, key: ShardKey, reservoir_capacity: int, seed: int = 0):
         self.key = key
-        self.hot_threshold = hot_threshold
         self.seed = seed
-        self.sketch = CountMinSketch(sketch_width, sketch_depth, seed=seed)
         self.reservoir: ReservoirSampler[MissSample] = ReservoirSampler(
             reservoir_capacity, key, seed
         )
@@ -139,7 +198,7 @@ class ShardState:
         return self.generation > self.built_generation
 
     def absorb(self, batch: SampleBatch) -> ShardCounters:
-        """Fold one batch into the sketch + reservoir; returns counters."""
+        """Fold one batch into the reservoir; returns counters."""
         if batch.key != self.key:
             raise ServiceError(
                 f"batch for shard {batch.key} routed to shard {self.key}"
@@ -148,13 +207,6 @@ class ShardState:
         c.batches += 1
         for sample in batch.samples:
             c.received += 1
-            # Count first, then gate: with threshold 1 every sample is
-            # admitted on sight, so the default configuration is
-            # lossless.  Higher thresholds deliberately drop the first
-            # (threshold - 1) occurrences of each branch.
-            if self.sketch.update(sample.miss_pc) < self.hot_threshold:
-                c.filtered += 1
-                continue
             if self.reservoir.offer(sample):
                 c.admitted += 1
             else:
@@ -168,15 +220,12 @@ class ShardState:
         A rolling deploy changes the binary's layout, so samples
         collected before it can no longer be attributed to the code the
         fleet now runs; folding them into the next plan would bake
-        stale sites in silently.  The sketch, reservoir, and counters
-        restart exactly as at construction (same seeds — the fold stays
+        stale sites in silently.  The reservoir and counters restart
+        exactly as at construction (same seed — the fold stays
         deterministic); ``generation`` keeps counting monotonically so
         dirtiness tracking and the plan lineage survive the boundary.
         Returns the new epoch number.
         """
-        self.sketch = CountMinSketch(
-            self.sketch.width, self.sketch.depth, seed=self.seed
-        )
         self.reservoir = ReservoirSampler(
             self.reservoir.capacity, self.key, self.seed
         )
@@ -203,25 +252,14 @@ class IngestAck:
     generation: int
     received: int
     admitted: int
-    filtered: int
     dropped: int
 
 
 class IngestBuffer:
     """All shard states plus the routing/fold entry points."""
 
-    def __init__(
-        self,
-        reservoir_capacity: int,
-        hot_threshold: int = 1,
-        sketch_width: int = 1024,
-        sketch_depth: int = 4,
-        seed: int = 0,
-    ):
+    def __init__(self, reservoir_capacity: int, seed: int = 0):
         self.reservoir_capacity = reservoir_capacity
-        self.hot_threshold = hot_threshold
-        self.sketch_width = sketch_width
-        self.sketch_depth = sketch_depth
         self.seed = seed
         self._shards: Dict[ShardKey, ShardState] = {}
 
@@ -230,14 +268,7 @@ class IngestBuffer:
         """The shard for *key*, creating it on first contact."""
         state = self._shards.get(key)
         if state is None:
-            state = ShardState(
-                key,
-                self.reservoir_capacity,
-                hot_threshold=self.hot_threshold,
-                sketch_width=self.sketch_width,
-                sketch_depth=self.sketch_depth,
-                seed=self.seed,
-            )
+            state = ShardState(key, self.reservoir_capacity, seed=self.seed)
             self._shards[key] = state
         return state
 
@@ -248,15 +279,14 @@ class IngestBuffer:
         """Route one batch to its shard and fold it in."""
         state = self.shard(batch.key)
         before = state.counters
-        prev = (before.received, before.admitted, before.filtered, before.dropped)
+        prev = (before.received, before.admitted, before.dropped)
         after = state.absorb(batch)
         return IngestAck(
             key=state.key,
             generation=state.generation,
             received=after.received - prev[0],
             admitted=after.admitted - prev[1],
-            filtered=after.filtered - prev[2],
-            dropped=after.dropped - prev[3],
+            dropped=after.dropped - prev[2],
         )
 
     def keys(self) -> List[ShardKey]:

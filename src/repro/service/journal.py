@@ -35,6 +35,11 @@ Durability semantics of the mirror:
   ``resume=True`` skip it (surfaced via ``stats()["torn_records"]``);
   anything malformed *before* the final line is genuine corruption and
   still raises.
+
+Batch samples are written and read with the ingest layer's sample
+codec (:func:`~repro.service.ingest.encode_samples` and
+:func:`~repro.service.ingest.decode_samples`), whose value checks make a
+damaged sample in a complete line a :class:`~repro.errors.JournalError`.
 """
 
 from __future__ import annotations
@@ -44,8 +49,7 @@ import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import JournalError
-from ..profiling.profile import MissSample
-from .ingest import SampleBatch, ShardKey
+from .ingest import SampleBatch, ShardKey, decode_samples, encode_samples
 
 # Journal-line schema version (independent of the profile/plan schema).
 JOURNAL_SCHEMA_VERSION = 1
@@ -60,10 +64,7 @@ def _batch_to_record(batch: SampleBatch, index: int) -> Dict:
         "input": batch.input_label,
         "index": index,
         "seq": batch.seq,
-        "samples": [
-            [s.miss_pc, s.miss_block, [[b, c] for b, c in s.window]]
-            for s in batch.samples
-        ],
+        "samples": encode_samples(batch.samples),
     }
 
 
@@ -80,18 +81,10 @@ def _record_to_batch(record: Dict) -> Tuple[SampleBatch, int]:
             f"reads version {JOURNAL_SCHEMA_VERSION}"
         )
     try:
-        samples = tuple(
-            MissSample(
-                miss_pc=pc,
-                miss_block=block,
-                window=tuple((b, c) for b, c in window),
-            )
-            for pc, block, window in record["samples"]
-        )
         batch = SampleBatch(
             app_name=record["app"],
             input_label=record["input"],
-            samples=samples,
+            samples=decode_samples(record["samples"], JournalError),
             seq=record.get("seq", 0),
         )
         return batch, record["index"]

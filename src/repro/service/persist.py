@@ -5,8 +5,8 @@ is the write-ahead log: every accepted batch is appended (and flushed)
 before it is folded, so the journal alone can reconstruct any shard
 fold-for-fold.  Replaying a long journal from zero is linear in the
 stream, though, so this module adds the second layer: periodic
-**snapshots** of the folded state — sketch counters, reservoir contents
-*and RNG state*, shard generations, and the published
+**snapshots** of the folded state — reservoir contents *and RNG
+state*, shard generations, and the published
 :class:`~repro.service.build.PlanVersion` lineage — so recovery costs
 one snapshot load plus the journal *suffix* written since it.
 
@@ -19,12 +19,17 @@ crash mid-snapshot leaves the previous snapshot intact, and
 to the newest valid one.
 
 Correctness argument for convergence: the ingest fold is deterministic
-(seeded sketch/reservoir, queue order == fold order), a snapshot
+(seeded reservoir, queue order == fold order), a snapshot
 captures the *complete* fold state including the reservoir's RNG
 internals, and the snapshot records how many journaled batches per
 shard it covers.  Restoring the snapshot and replaying exactly the
 uncovered journal suffix therefore lands in the same state — and hence
 the same published plans — as a run that never crashed.
+
+Reservoir items are written and read with the ingest layer's sample
+codec (:func:`~repro.service.ingest.encode_samples` and
+:func:`~repro.service.ingest.decode_samples`), whose value checks make a
+damaged sample a :class:`~repro.errors.SnapshotError`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PlanError, SnapshotError
-from ..profiling.profile import MissSample
 from ..profiling.serialize import (
     check_schema_version,
     flat_rows,
@@ -44,11 +48,12 @@ from ..profiling.serialize import (
     write_json_atomic,
 )
 from .build import PlanDiff, PlanVersion
-from .ingest import ShardKey, ShardState
+from .ingest import ShardKey, ShardState, decode_samples, encode_samples
 
 # Snapshot schema version (independent of profile/plan/journal schemas).
-# Version 2 holds plans and plan diffs in the columnar plan layout.
-PERSIST_SCHEMA_VERSION = 2
+# Version 2 holds plans and plan diffs in the columnar plan layout;
+# version 3 drops the count-min sketch rows and the filtered counter.
+PERSIST_SCHEMA_VERSION = 3
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
@@ -57,17 +62,6 @@ _SNAPSHOT_SUFFIX = ".json"
 # ----------------------------------------------------------------------
 # Shard state <-> dict
 # ----------------------------------------------------------------------
-
-def _sample_to_list(s: MissSample) -> list:
-    return [s.miss_pc, s.miss_block, [[b, c] for b, c in s.window]]
-
-
-def _sample_from_list(raw) -> MissSample:
-    pc, block, window = raw
-    return MissSample(
-        miss_pc=pc, miss_block=block, window=tuple((b, c) for b, c in window)
-    )
-
 
 def shard_to_dict(shard: ShardState) -> dict:
     """Complete fold state of one shard, JSON-ready.
@@ -88,15 +82,10 @@ def shard_to_dict(shard: ShardState) -> dict:
             "batches": shard.counters.batches,
             "received": shard.counters.received,
             "admitted": shard.counters.admitted,
-            "filtered": shard.counters.filtered,
             "dropped": shard.counters.dropped,
         },
-        "sketch": {
-            "rows": [list(row) for row in shard.sketch._rows],
-            "total": shard.sketch.total,
-        },
         "reservoir": {
-            "items": [_sample_to_list(s) for s in shard.reservoir.items],
+            "items": encode_samples(shard.reservoir.items),
             "seen": shard.reservoir.seen,
             "evicted": shard.reservoir.evicted,
             # random.Random.getstate(): (version, tuple-of-ints, gauss).
@@ -106,7 +95,7 @@ def shard_to_dict(shard: ShardState) -> dict:
 
 
 def shard_from_dict(data: dict, buffer) -> ShardState:
-    """Rebuild one shard inside *buffer*'s geometry (seed, sketch, cap).
+    """Rebuild one shard inside *buffer*'s geometry (seed, capacity).
 
     The shard is constructed through ``buffer.shard()`` so it uses the
     restoring service's configuration; the snapshot-level config check
@@ -117,28 +106,14 @@ def shard_from_dict(data: dict, buffer) -> ShardState:
         shard = buffer.shard(key)
         shard.generation = int(data["generation"])
         shard.built_generation = int(data["built_generation"])
-        # Optional for pre-epoch snapshots (schema stays v1): absent
-        # means the shard never saw a deploy boundary.
-        shard.epoch = int(data.get("epoch", 0))
+        shard.epoch = int(data["epoch"])
         counters = data["counters"]
         shard.counters.batches = int(counters["batches"])
         shard.counters.received = int(counters["received"])
         shard.counters.admitted = int(counters["admitted"])
-        shard.counters.filtered = int(counters["filtered"])
         shard.counters.dropped = int(counters["dropped"])
-        sketch = data["sketch"]
-        rows = [[int(c) for c in row] for row in sketch["rows"]]
-        if len(rows) != shard.sketch.depth or any(
-            len(row) != shard.sketch.width for row in rows
-        ):
-            raise SnapshotError(
-                f"snapshot sketch geometry for shard {key} does not match "
-                f"the service's {shard.sketch.depth}x{shard.sketch.width}"
-            )
-        shard.sketch._rows = rows
-        shard.sketch.total = int(sketch["total"])
         res = data["reservoir"]
-        items = [_sample_from_list(raw) for raw in res["items"]]
+        items = list(decode_samples(res["items"], SnapshotError))
         if len(items) > shard.reservoir.capacity:
             raise SnapshotError(
                 f"snapshot reservoir for shard {key} holds {len(items)} "
@@ -307,9 +282,6 @@ def capture_snapshot(service, seq: int, journal_counts: Dict[ShardKey, int]) -> 
         "seq": seq,
         "config": {
             "reservoir_capacity": buffer.reservoir_capacity,
-            "hot_threshold": buffer.hot_threshold,
-            "sketch_width": buffer.sketch_width,
-            "sketch_depth": buffer.sketch_depth,
             "seed": buffer.seed,
         },
         "journal_counts": [
@@ -337,7 +309,7 @@ def apply_snapshot(service, data: dict) -> Tuple[int, int, Dict[ShardKey, int]]:
     Returns ``(shards_restored, plans_restored, journal_counts)``.
     Raises :class:`~repro.errors.SnapshotError` on schema or
     configuration mismatch — replaying a journal into a differently
-    shaped sketch/reservoir would silently diverge, so the check is a
+    sized or seeded reservoir would silently diverge, so the check is a
     hard gate.
     """
     if data.get("kind") != "service_snapshot":
@@ -350,9 +322,6 @@ def apply_snapshot(service, data: dict) -> Tuple[int, int, Dict[ShardKey, int]]:
         config = data["config"]
         mine = {
             "reservoir_capacity": buffer.reservoir_capacity,
-            "hot_threshold": buffer.hot_threshold,
-            "sketch_width": buffer.sketch_width,
-            "sketch_depth": buffer.sketch_depth,
             "seed": buffer.seed,
         }
         for name, value in mine.items():

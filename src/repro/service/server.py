@@ -15,12 +15,21 @@ either way:
   plus processing; a request that misses it fails with
   :class:`~repro.errors.DeadlineExceeded`, and if it is still queued
   when a worker reaches it, the worker skips the corpse;
-* **retry with jittered backoff** — transient build failures
-  (:class:`~repro.errors.TransientBuildError`) are retried up to
-  ``build_retries`` times with seeded exponential-backoff jitter;
+* **typed ingress** — ``ingest()`` and ``feedback()`` decode raw
+  sample rows with value checks
+  (:func:`~repro.service.ingest.decode_samples`), and ``ingest()``
+  holds every sample against its app's workload
+  (:func:`~repro.service.ingest.check_sample_blocks`), so a malformed
+  sample is a :class:`~repro.errors.ServiceError` before it is queued
+  or journaled.  The first batch for an app waits, before it is queued
+  and outside its deadline, for that app's workload to be built off the
+  event loop;
 * **graceful drain** — ``stop()`` stops intake, lets workers finish
   the queued backlog, then force-builds any still-dirty shards so the
   last samples of a session are never stranded unpublished.
+
+A failed build is not retried: builds are deterministic, so the shard
+records the error and keeps serving its last good version.
 
 Ingest processing is deliberately synchronous between dequeue and
 acknowledge (no ``await`` points), so batches for one shard fold in
@@ -50,15 +59,19 @@ from ..errors import (
     ServiceClosed,
     ServiceError,
     ServiceOverload,
-    TransientBuildError,
 )
-from ..profiling.profile import MissSample
 from ..telemetry.metrics import MetricsRegistry
 from ..workloads.apps import get_app
 from ..workloads.cfg import Workload, build_workload
-from ..workloads.rng import make_rng
 from .build import IncrementalPlanBuilder, PlanVersion
-from .ingest import FeedbackBatch, IngestBuffer, SampleBatch, ShardKey
+from .ingest import (
+    FeedbackBatch,
+    IngestBuffer,
+    SampleBatch,
+    ShardKey,
+    check_sample_blocks,
+    decode_samples,
+)
 from .journal import IngestJournal
 from .persist import SnapshotStore, apply_snapshot, capture_snapshot
 
@@ -90,14 +103,10 @@ class ServiceConfig:
     # Retained samples per (app, input) shard; at or above the stream
     # length the fold is lossless and served plans match offline.
     reservoir_capacity: int = 8192
-    # Hot-branch pre-filter threshold; 1 admits every sample (lossless).
-    hot_threshold: int = 1
     workers: int = 2
     # Trailing debounce before a background rebuild of a dirty shard;
     # every new batch re-arms the timer.  0 rebuilds eagerly.
     debounce_s: float = 0.05
-    build_retries: int = 2
-    backoff_base_s: float = 0.01
     # Bench-only: artificial processing latency for non-ingest requests,
     # used to provoke queue pressure deterministically.
     synthetic_delay_s: float = 0.0
@@ -119,16 +128,10 @@ class ServiceConfig:
             raise ConfigError(
                 f"reservoir_capacity must be positive, got {self.reservoir_capacity}"
             )
-        if self.hot_threshold < 1:
-            raise ConfigError(f"hot_threshold must be >= 1, got {self.hot_threshold}")
         if self.workers <= 0:
             raise ConfigError(f"workers must be positive, got {self.workers}")
         if self.debounce_s < 0:
             raise ConfigError(f"debounce_s must be >= 0, got {self.debounce_s}")
-        if self.build_retries < 0:
-            raise ConfigError(f"build_retries must be >= 0, got {self.build_retries}")
-        if self.backoff_base_s < 0:
-            raise ConfigError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
         if self.synthetic_delay_s < 0:
             raise ConfigError(
                 f"synthetic_delay_s must be >= 0, got {self.synthetic_delay_s}"
@@ -177,16 +180,20 @@ class PlanService:
         )
         self.buffer = IngestBuffer(
             reservoir_capacity=self.config.reservoir_capacity,
-            hot_threshold=self.config.hot_threshold,
             seed=self.config.seed,
         )
+        if workload_for is None:
+            workload_for = default_workload_resolver()
+        self._workload_for = workload_for
+        # App -> its workload's branch PC column, resolved once off the
+        # loop; the ingress block check reads it.
+        self._branch_pcs: Dict[str, asyncio.Future] = {}
         self.builder = IncrementalPlanBuilder(
-            workload_for if workload_for is not None else default_workload_resolver(),
+            workload_for,
             config=sim_config,
             check_plans=check_plans,
             telemetry=telemetry,
         )
-        self._backoff_rng = make_rng("service-backoff", self.config.seed)
         self._queue: Optional[asyncio.Queue] = None
         self._workers: List[asyncio.Task] = []
         self._debounce: Dict[ShardKey, asyncio.Task] = {}
@@ -403,16 +410,44 @@ class PlanService:
         seq: int = 0,
         deadline_ms: Optional[int] = None,
     ):
-        """Submit one sample batch; returns the shard's IngestAck."""
+        """Submit one sample batch; returns the shard's IngestAck.
+
+        *samples* holds :class:`~repro.profiling.profile.MissSample`
+        objects or raw ``(pc, block, window)`` rows.  A malformed row,
+        or a sample that names no block of the app's workload, is a
+        :class:`~repro.errors.ServiceError` before anything is queued.
+        """
         batch = SampleBatch(
             app_name=app_name,
             input_label=input_label,
-            samples=tuple(
-                s if isinstance(s, MissSample) else MissSample(*s) for s in samples
-            ),
+            samples=decode_samples(samples, ServiceError),
             seq=seq,
         )
+        self._check_accepting()
+        check_sample_blocks(batch.samples, await self._branch_pc(app_name))
         return await self.request("ingest", batch, deadline_ms=deadline_ms)
+
+    async def _branch_pc(self, app: str):
+        """*app*'s branch PC column, built off the loop on first use.
+
+        Concurrent first batches for an app await one shared future and
+        resume in call order, so they still queue in call order; once it
+        is resolved, awaiting it does not yield.  The shield keeps one
+        cancelled caller from cancelling the others' resolution, and a
+        failed resolution is not kept, so the next batch tries again.
+        """
+        fut = self._branch_pcs.get(app)
+        if fut is None:
+            fut = asyncio.get_running_loop().run_in_executor(
+                None, lambda: self._workload_for(app).branch_pc
+            )
+            self._branch_pcs[app] = fut
+        try:
+            return await asyncio.shield(fut)
+        except Exception:
+            if self._branch_pcs.get(app) is fut:
+                del self._branch_pcs[app]
+            raise
 
     async def feedback(
         self,
@@ -433,9 +468,7 @@ class PlanService:
         batch = FeedbackBatch(
             app_name=app_name,
             input_label=input_label,
-            samples=tuple(
-                s if isinstance(s, MissSample) else MissSample(*s) for s in samples
-            ),
+            samples=decode_samples(samples, ServiceError),
             stale_pcs=tuple(sorted(stale_pcs)),
             seq=seq,
         )
@@ -448,7 +481,7 @@ class PlanService:
 
         A deploy changes the binary's layout, so retained samples can no
         longer be attributed to the code the fleet now runs; the shard's
-        sketch/reservoir restart empty while the plan lineage (and any
+        reservoir restarts empty while the plan lineage (and any
         canary in flight) survives the boundary.  The reset is journaled
         at its exact position in the batch sequence, so crash recovery
         re-applies it during replay.  Returns the new epoch number.
@@ -484,10 +517,7 @@ class PlanService:
     # ------------------------------------------------------------------
     async def request(self, kind: str, payload, deadline_ms: Optional[int] = None):
         """Enqueue one request and await its response under a deadline."""
-        if not self._started:
-            raise ServiceError("service not started; call start() first")
-        if self._closed:
-            raise ServiceClosed("service is draining; no new requests accepted")
+        self._check_accepting()
         loop = asyncio.get_running_loop()
         req = _Request(kind, payload, loop.create_future(), loop.time())
         try:
@@ -511,6 +541,12 @@ class PlanService:
             ) from None
         self.metrics.add_time(f"service.request.{kind}", loop.time() - req.enqueued_at)
         return result
+
+    def _check_accepting(self) -> None:
+        if not self._started:
+            raise ServiceError("service not started; call start() first")
+        if self._closed:
+            raise ServiceClosed("service is draining; no new requests accepted")
 
     # ------------------------------------------------------------------
     # Workers
@@ -699,7 +735,6 @@ class PlanService:
         reg.inc("service.ingest_batches")
         reg.inc("service.samples_received", ack.received)
         reg.inc("service.samples_admitted", ack.admitted)
-        reg.inc("service.samples_filtered", ack.filtered)
         reg.inc("service.samples_dropped", ack.dropped)
         self._arm_debounce(ack.key)
         self._maybe_snapshot()
@@ -792,39 +827,24 @@ class PlanService:
                     return latest
                 loop = asyncio.get_running_loop()
                 t0 = loop.time()
-                attempt = 0
-                while True:
-                    fut = loop.run_in_executor(None, self.builder.build, shard)
+                fut = loop.run_in_executor(None, self.builder.build, shard)
+                try:
+                    version = await asyncio.shield(fut)
+                except asyncio.CancelledError:
+                    # A cancelled caller (re-armed debounce, drain) must
+                    # not abandon the executor build: the thread keeps
+                    # running, and releasing the shard lock here would
+                    # let a second build race it on the same shard
+                    # state.  Wait it out, record any publish, then
+                    # propagate the cancellation.
                     try:
                         version = await asyncio.shield(fut)
-                        break
-                    except asyncio.CancelledError:
-                        # A cancelled caller (re-armed debounce, drain)
-                        # must not abandon the executor build: the thread
-                        # keeps running, and releasing the shard lock here
-                        # would let a second build race it on the same
-                        # shard state.  Wait it out, record any publish,
-                        # then propagate the cancellation.
-                        try:
-                            version = await asyncio.shield(fut)
-                        except (ReproError, asyncio.CancelledError):
-                            pass
-                        else:
-                            self._note_published(version)  # staticcheck: disable=A101 (publish-time snapshot is atomic with the publish)
-                            self._last_build_error.pop(key, None)
-                        raise
-                    except TransientBuildError:
-                        attempt += 1
-                        self.metrics.inc("service.build_retries")
-                        if attempt > self.config.build_retries:
-                            raise
-                        # Seeded jitter in [0.5, 1.5) of the exponential step.
-                        delay = (
-                            self.config.backoff_base_s
-                            * (2 ** (attempt - 1))
-                            * (0.5 + self._backoff_rng.random())
-                        )
-                        await asyncio.sleep(delay)
+                    except (ReproError, asyncio.CancelledError):
+                        pass
+                    else:
+                        self._note_published(version)  # staticcheck: disable=A101 (publish-time snapshot is atomic with the publish)
+                        self._last_build_error.pop(key, None)
+                    raise
                 self.metrics.add_time("service.build", loop.time() - t0)
                 self._note_published(version)  # staticcheck: disable=A101 (publish-time snapshot is atomic with the publish)
                 self._last_build_error.pop(key, None)
@@ -893,7 +913,6 @@ class PlanService:
                 "dirty": shard.dirty,
                 "received": shard.counters.received,
                 "admitted": shard.counters.admitted,
-                "filtered": shard.counters.filtered,
                 "dropped": shard.counters.dropped,
                 "retained": len(shard.reservoir),
                 "overflowed": shard.reservoir.overflowed,

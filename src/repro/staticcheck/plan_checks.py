@@ -42,7 +42,7 @@ reviewer should see.  The degenerate cases that are provably wrong
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import SimConfig
 from ..core.compression import encodable

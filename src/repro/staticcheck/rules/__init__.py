@@ -29,6 +29,9 @@ rule id   name                    severity  invariant
                                             runs the pure-Python
                                             encoder, ~5x slower than
                                             ``json.dumps``
+``L109``  no-unused-import        error     every imported name is
+                                            used (``__init__.py``
+                                            and ``__all__`` exempt)
 ========  ======================  ========  ===========================
 
 Rules register themselves via :func:`register`; :func:`default_rules`

@@ -91,7 +91,7 @@ GUARDED_BY: Dict[Tuple[str, str], Dict[str, str]] = {
 # process's own verified configuration instead of the snapshot payload
 # (apply_snapshot's config-equality gate is what makes this safe).
 DERIVED_PERSIST_FIELDS: Dict[str, Set[str]] = {
-    "ShardState": {"hot_threshold", "seed"},
+    "ShardState": {"seed"},
 }
 
 # A105 subject -> (owning module suffix, to_dict fn, from_dict fn).

@@ -10,8 +10,7 @@ continue-probability and a hard per-visit cap.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import TraceError
 from ..frontend.direction_batch import HAVE_NUMPY as _PRECOMPILE

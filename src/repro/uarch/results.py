@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import InvariantViolation
 

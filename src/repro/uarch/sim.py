@@ -31,17 +31,14 @@ from ..prefetchers.base import (
     BTBSystem,
     BaselineBTBSystem,
     LOOKUP_COVERED,
-    LOOKUP_HIT,
     LOOKUP_MISS,
 )
 from ..trace.events import Trace
 from ..validate.invariants import Sanitizer
 from ..workloads.cfg import (
-    DIRECT_KIND_CODES,
     KIND_CALL,
     KIND_CALL_IND,
     KIND_COND,
-    KIND_FROM_CODE,
     KIND_JUMP_IND,
     KIND_NONE,
     KIND_RETURN,

@@ -20,7 +20,7 @@ same binary, byte for byte.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
@@ -32,7 +32,7 @@ from ..isa.binary import Binary
 from ..isa.blocks import DEFAULT_LINE_BYTES, BasicBlock
 from ..isa.branches import Branch, BranchKind
 from .rng import make_rng, zipf_weights
-from .spec import AppSpec, WorkloadInput, validate_mix
+from .spec import AppSpec, validate_mix
 
 _MIN_BLOCK_BYTES = 6
 _MAX_BLOCK_BYTES = 160
@@ -214,13 +214,11 @@ class Workload:
         self.branch_kind: List[Optional[BranchKind]] = list(
             map(_KIND_OF_CODE.__getitem__, self.kind_code)
         )
-        self._block_by_start: Dict[int, int] = {
-            s: i for i, s in enumerate(self.block_start)
-        }
+        block_by_start = {s: i for i, s in enumerate(self.block_start)}
         # Target block index for taken direct branches (-1 if target is
         # not a block start, which the builder never produces).
         self.target_block: List[int] = list(
-            map(self._block_by_start.get, self.branch_target, repeat(-1))
+            map(block_by_start.get, self.branch_target, repeat(-1))
         )
         self._fetch_cycles: Dict[int, Tuple[int, ...]] = {}
 
@@ -295,8 +293,15 @@ class Workload:
         return Binary(blocks, self.line_bytes)
 
     def block_index_at(self, start_addr: int) -> int:
-        """Block index whose start address is *start_addr*."""
-        return self._block_by_start[start_addr]
+        """Block index whose start address is *start_addr*.
+
+        Bisects the address-ordered ``block_start`` column; an address
+        that starts no block raises :class:`KeyError`.
+        """
+        i = bisect_left(self.block_start, start_addr)
+        if i == self.n_blocks or self.block_start[i] != start_addr:
+            raise KeyError(start_addr)
+        return i
 
     @property
     def name(self) -> str:

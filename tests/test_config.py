@@ -130,7 +130,11 @@ class TestComponentDefaults:
     """The service, fleet and canary settings' documented defaults."""
 
     def test_defaults(self):
-        from repro.drift.canary import CanarySettings
+        from repro.drift.canary import (
+            CANARY_FRACTION,
+            CANARY_WINDOWS,
+            CanarySettings,
+        )
         from repro.service.fleet import FleetConfig
         from repro.service.server import ServiceConfig
 
@@ -142,5 +146,5 @@ class TestComponentDefaults:
         fleet = FleetConfig()
         assert (fleet.workers, fleet.replicas, fleet.autoscale) == (2, 1, False)
         canary = CanarySettings()
-        assert (canary.enabled, canary.fraction, canary.window,
-                canary.windows, canary.threshold) == (False, 0.5, 64, 2, 0.1)
+        assert (canary.enabled, CANARY_FRACTION, canary.window,
+                CANARY_WINDOWS, canary.threshold) == (False, 0.5, 64, 2, 0.1)

@@ -80,10 +80,7 @@ def wp_stream():
 # ----------------------------------------------------------------------
 
 def _settings(seed: int = 0) -> CanarySettings:
-    return CanarySettings(
-        enabled=True, fraction=0.5, window=16, windows=2,
-        threshold=0.05, seed=seed,
-    )
+    return CanarySettings(enabled=True, window=16, threshold=0.05, seed=seed)
 
 
 def _drift_service(state_dir: str, seed: int = 0) -> PlanService:

@@ -10,6 +10,7 @@ autoscaler actions, and a fleet-wide drain.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -18,7 +19,7 @@ import pytest
 
 from repro.config import ConfigError, SimConfig
 from repro.core.twig import build_plan
-from repro.errors import FleetError, ServiceOverload, WorkerCrashed
+from repro.errors import FleetError, ServiceError, ServiceOverload, WorkerCrashed
 from repro.service import fleet
 from repro.service.bench import (
     Chaos,
@@ -34,11 +35,13 @@ from repro.service.fleet import (
     FleetConfig,
     FleetRouter,
 )
+from repro.service.ingest import encode_samples
 from repro.service.journal import IngestJournal, read_journal
 from repro.service.server import ServiceConfig, default_workload_resolver
 from repro.telemetry.events import TelemetrySink
 from repro.trace.walker import generate_trace
 from repro.workloads.apps import app_names
+from tests.test_service_ingress import MALFORMED, OUT_OF_RANGE, out_of_range_row
 
 SIM_CFG = SimConfig()
 BATCH = 64
@@ -114,7 +117,7 @@ class TestCrashRecovery:
     def test_crashed_ack_is_journaled_not_lost(self, app_streams):
         """A WorkerCrashed ack means the batch IS durable: no resend."""
         label, profile, stream = app_streams["wordpress"]
-        with make_router(workers=1, min_workers=1) as router:
+        with make_router(workers=1) as router:
             pending = []
             for seq, chunk in enumerate(chunks(stream)):
                 pending.append(
@@ -135,6 +138,120 @@ class TestCrashRecovery:
             version = router.get_plan("wordpress", label)
             assert plans_equivalent(version.plan, offline_plan("wordpress", profile))
             assert router.journal.count(("wordpress", label)) == journaled
+
+
+def claim(marker_dir, limit: int) -> bool:
+    """Whether this process is one of the first *limit* to get here.
+
+    Each caller tries to create ``died-0`` .. ``died-<limit-1>`` with
+    ``O_EXCL``; creating one is a claim, so across forked workers at
+    most *limit* calls return True.
+    """
+    for i in range(limit):
+        path = os.path.join(str(marker_dir), f"died-{i}")
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            continue
+        os.write(fd, str(os.getpid()).encode())
+        os.close(fd)
+        return True
+    return False
+
+
+def exit_on(monkeypatch, kind: str, marker_dir, limit: int) -> None:
+    """Patch the worker dispatch, before the fork, to kill the worker
+    process on its *kind* request, for the first *limit* such requests."""
+    real = fleet._dispatch
+
+    async def dispatch(service, worker_id, request):
+        if request.get("kind") == kind and claim(marker_dir, limit):
+            os._exit(3)
+        return await real(service, worker_id, request)
+
+    monkeypatch.setattr(fleet, "_dispatch", dispatch)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a monkeypatched worker dispatch only reaches forked workers",
+)
+class TestWorkerDiesMidRequest:
+    def test_get_plan_retries_after_its_primary_dies(
+        self, app_streams, monkeypatch, tmp_path
+    ):
+        label, profile, stream = app_streams["wordpress"]
+        exit_on(monkeypatch, "plan", tmp_path, limit=1)
+        with make_router(workers=1) as router:
+            for seq, chunk in enumerate(chunks(stream)):
+                router.ingest("wordpress", label, chunk, seq=seq)
+            version = router.get_plan("wordpress", label)
+            assert plans_equivalent(version.plan, offline_plan("wordpress", profile))
+            counters = router.metrics.counters
+            assert counters["fleet.plan_retries_after_crash"] == 1
+            assert counters["fleet.worker_crashes"] == 1
+            assert counters["fleet.workers_replaced"] == 1
+
+    def test_get_plan_gives_up_after_three_crashed_attempts(
+        self, app_streams, monkeypatch, tmp_path
+    ):
+        label, profile, stream = app_streams["wordpress"]
+        exit_on(monkeypatch, "plan", tmp_path, limit=3)
+        with make_router(workers=1) as router:
+            for seq, chunk in enumerate(chunks(stream)):
+                router.ingest("wordpress", label, chunk, seq=seq)
+            with pytest.raises(FleetError, match="failed on 3 attempts"):
+                router.get_plan("wordpress", label)
+            assert router.metrics.counters["fleet.plan_retries_after_crash"] == 3
+            # The fourth worker, replayed from the journal, serves.
+            version = router.get_plan("wordpress", label)
+            assert plans_equivalent(version.plan, offline_plan("wordpress", profile))
+            assert len(router.crashed_workers) == 3
+
+    def test_stop_reports_a_worker_that_dies_during_drain(
+        self, app_streams, monkeypatch, tmp_path
+    ):
+        exit_on(monkeypatch, "drain", tmp_path, limit=1)
+        router = make_router(workers=2)
+        router.start()
+        for app, (label, _profile, stream) in app_streams.items():
+            router.ingest(app, label, chunks(stream)[0], seq=0)
+        report = router.stop()
+        failed = [w for w, s in report["workers"].items() if "drain_error" in s]
+        assert len(failed) == 1
+        assert "died mid-drain" in report["workers"][failed[0]]["drain_error"]
+        assert router.metrics.counters["fleet.drain_failures"] == 1
+
+
+class TestIngress:
+    def test_malformed_rows_are_refused_before_the_journal(self, app_streams):
+        label, _profile, stream = app_streams["wordpress"]
+        key = ("wordpress", label)
+        with make_router(workers=1) as router:
+            for kind, row in sorted(MALFORMED.items()):
+                with pytest.raises(ServiceError, match="malformed samples"):
+                    router.ingest("wordpress", label, [row], seq=0)
+                assert router.journal.count(key) == 0, kind
+            ack = router.ingest("wordpress", label, chunks(stream)[0], seq=0)
+            assert ack.received == len(chunks(stream)[0])
+            assert router.journal.count(key) == 1
+
+    def test_samples_outside_the_workload_are_refused_before_the_journal(
+        self, app_streams
+    ):
+        label, _profile, stream = app_streams["wordpress"]
+        key = ("wordpress", label)
+        rows = encode_samples(chunks(stream)[0])
+        n_blocks = default_workload_resolver()("wordpress").n_blocks
+        with make_router(workers=1) as router:
+            for kind in OUT_OF_RANGE:
+                bad = rows[:1] + [out_of_range_row(kind, rows, n_blocks)]
+                with pytest.raises(ServiceError, match="of the app|app's"):
+                    router.ingest("wordpress", label, bad, seq=0)
+                assert router.journal.count(key) == 0, kind
+            ack = router.ingest("wordpress", label, rows, seq=0)
+            assert ack.received == len(rows)
+            assert router.journal.count(key) == 1
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +333,7 @@ class TestSheddingSemantics:
         # Small batches: enough submissions to overflow a depth-2 queue.
         all_chunks = [stream[i : i + 16] for i in range(0, len(stream), 16)]
         assert len(all_chunks) >= 4, "stream too short to overflow the queue"
-        with make_router(workers=1, min_workers=1, queue_depth=2) as router:
+        with make_router(workers=1, queue_depth=2) as router:
             handle = next(iter(router._handles.values()))
             os.kill(handle.pid, signal.SIGSTOP)
             pending = []
@@ -266,7 +383,7 @@ class TestSheddingSemantics:
 # ----------------------------------------------------------------------
 class TestElasticity:
     def test_add_and_remove_worker_preserve_parity(self, app_streams):
-        with make_router(workers=2, min_workers=1, max_workers=4) as router:
+        with make_router(workers=2, max_workers=4) as router:
             batches = {app: chunks(s[2]) for app, s in app_streams.items()}
             for app, (label, _p, _s) in app_streams.items():
                 router.ingest(app, label, batches[app][0], seq=0)
@@ -283,7 +400,7 @@ class TestElasticity:
                 assert plans_equivalent(version.plan, offline_plan(app, profile))
 
     def test_pool_bounds_enforced(self, app_streams):
-        with make_router(workers=2, min_workers=2, max_workers=2) as router:
+        with make_router(workers=1, max_workers=1) as router:
             with pytest.raises(FleetError, match="max_workers"):
                 router.add_worker()
             with pytest.raises(FleetError, match="min_workers"):
@@ -291,9 +408,7 @@ class TestElasticity:
 
     def test_autoscale_tick_records_decisions(self, app_streams):
         label, _profile, stream = app_streams["wordpress"]
-        with make_router(
-            workers=2, autoscale=True, min_workers=1, max_workers=4
-        ) as router:
+        with make_router(workers=2, autoscale=True, max_workers=4) as router:
             router.ingest("wordpress", label, chunks(stream)[0], seq=0)
             decision = router.autoscale_tick()
             assert decision.tick == 1
@@ -346,16 +461,7 @@ class TestElasticity:
 
 
 class TestAutoscalerPolicy:
-    CFG = FleetConfig(
-        workers=2,
-        autoscale=True,
-        min_workers=1,
-        max_workers=4,
-        grow_queue_frac=0.75,
-        grow_shed_delta=1,
-        shrink_queue_frac=0.05,
-        shrink_idle_ticks=3,
-    )
+    CFG = FleetConfig(workers=2, autoscale=True, max_workers=4)
 
     def signals(self, **overrides):
         base = {
@@ -382,7 +488,7 @@ class TestAutoscalerPolicy:
     def test_grow_on_build_latency(self):
         scaler = Autoscaler(self.CFG)
         action, reason = scaler.decide(
-            self.signals(build_latency_s=self.CFG.grow_build_latency_s + 1)
+            self.signals(build_latency_s=fleet.GROW_BUILD_LATENCY_S + 1)
         )
         assert action == "grow"
         assert "latency" in reason
@@ -433,16 +539,9 @@ class TestFleetConfigValidation:
         [
             ({"workers": 0}, "workers must be positive"),
             ({"replicas": 0}, "replicas must be >= 1"),
-            ({"min_workers": 0}, "min_workers"),
-            ({"min_workers": 3, "max_workers": 2}, "max_workers"),
-            ({"workers": 9, "max_workers": 8}, "must lie in"),
             ({"queue_depth": 0}, "queue_depth"),
-            ({"worker_deadline_ms": 0}, "worker_deadline_ms"),
-            ({"request_timeout_s": 0}, "request_timeout_s"),
             ({"start_method": "threads"}, "start_method"),
-            ({"grow_queue_frac": 1.5}, "grow_queue_frac"),
-            ({"shrink_queue_frac": 0.9}, "shrink_queue_frac"),
-            ({"shrink_idle_ticks": 0}, "shrink_idle_ticks"),
+            ({"workers": 9, "max_workers": 8}, "must lie in"),
         ],
     )
     def test_invalid_rejected(self, kwargs, match):
@@ -502,7 +601,7 @@ class TestSpawnedWorkers:
         """spawn: the ServiceConfig travels in the worker's process args."""
         label, _profile, stream = app_streams["wordpress"]
         router = FleetRouter(
-            config=FleetConfig(workers=1, min_workers=1, start_method="spawn"),
+            config=FleetConfig(workers=1, start_method="spawn"),
             service_config=ServiceConfig(reservoir_capacity=777, queue_depth=33),
             sim_config=SIM_CFG,
         )

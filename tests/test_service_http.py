@@ -221,6 +221,49 @@ class TestWireVersioning:
         assert status == 400
         assert data["error"]["type"] == "TransportError"
 
+    def test_version_two_ingest_is_refused(self, tiny_workload):
+        """A version-2 peer still expects a ``filtered`` count in acks."""
+
+        async def scenario():
+            service = make_service(tiny_workload)
+            await service.start()
+            async with HttpPlanServer(service) as server:
+                status, data = await raw_request(
+                    "127.0.0.1",
+                    server.port,
+                    request_bytes(
+                        "POST",
+                        "/v1/ingest",
+                        payload={
+                            "schema_version": 2,
+                            "app": APP,
+                            "input": "x",
+                            "samples": [[4096, 3, [[1, 12.0]]]],
+                        },
+                        schema=2,
+                    ),
+                )
+                stats = await service.stats()
+            await service.stop()
+            return status, data, stats
+
+        status, data, stats = asyncio.run(scenario())
+        assert status == 400
+        assert data["error"]["type"] == "TransportError"
+        assert "unsupported wire schema version 2" in data["error"]["message"]
+        assert stats["counters"].get("service.ingest_batches", 0) == 0
+
+    def test_client_refuses_version_two_response(self):
+        body = json.dumps({"schema_version": 2, "status": "ok"}).encode()
+        response = (
+            b"HTTP/1.1 200 OK\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\nX-Repro-Schema: 2\r\n\r\n"
+            + body
+        )
+        with pytest.raises(TransportError, match="unsupported wire schema version"):
+            fetch_from(response)
+
     def test_client_refuses_future_response_version(self, tiny_workload):
         """Version negotiation is two-sided: a client must refuse a
         response stamped with a schema it does not speak."""

@@ -1,4 +1,4 @@
-"""Streaming ingest layer: sketch, reservoir, shard fold."""
+"""Streaming ingest layer: reservoir, shard fold."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.errors import ServiceError
 from repro.profiling.profile import MissProfile, MissSample
 from repro.service.ingest import IngestBuffer, SampleBatch, ShardState
 from repro.service.reservoir import ReservoirSampler
-from repro.service.sketch import CountMinSketch
 
 
 def sample(pc: int, block: int = 1) -> MissSample:
@@ -20,54 +19,6 @@ def batch(pcs, app="tinyapp", label="0", seq=0) -> SampleBatch:
         samples=tuple(sample(pc) for pc in pcs),
         seq=seq,
     )
-
-
-class TestCountMinSketch:
-    def test_one_sided_overestimate(self):
-        sketch = CountMinSketch(64, 4, seed=3)
-        truth = {}
-        for i in range(500):
-            pc = 0x1000 + (i * 7) % 40
-            truth[pc] = truth.get(pc, 0) + 1
-            sketch.update(pc)
-        for pc, count in truth.items():
-            assert sketch.estimate(pc) >= count
-
-    def test_exact_when_sparse(self):
-        sketch = CountMinSketch(1024, 4, seed=0)
-        for _ in range(5):
-            sketch.update(0xBEEF)
-        assert sketch.estimate(0xBEEF) == 5
-        assert sketch.estimate(0xF00D) == 0
-
-    def test_update_returns_running_estimate(self):
-        sketch = CountMinSketch(1024, 4, seed=0)
-        assert sketch.update(0xA) == 1
-        assert sketch.update(0xA) == 2
-        assert sketch.update(0xA, count=3) == 5
-
-    def test_deterministic_across_instances(self):
-        a = CountMinSketch(128, 4, seed=9)
-        b = CountMinSketch(128, 4, seed=9)
-        for i in range(300):
-            a.update(i * 13)
-            b.update(i * 13)
-        for i in range(300):
-            assert a.estimate(i * 13) == b.estimate(i * 13)
-
-    def test_seed_changes_hashes(self):
-        a = CountMinSketch(16, 2, seed=1)
-        b = CountMinSketch(16, 2, seed=2)
-        for i in range(200):
-            a.update(i)
-            b.update(i)
-        diffs = sum(a.estimate(i) != b.estimate(i) for i in range(200))
-        assert diffs > 0
-
-    @pytest.mark.parametrize("width,depth", [(0, 4), (16, 0), (-1, 2)])
-    def test_rejects_bad_geometry(self, width, depth):
-        with pytest.raises(ServiceError):
-            CountMinSketch(width, depth)
 
 
 class TestReservoirSampler:
@@ -134,7 +85,7 @@ class TestShardState:
         assert shard.generation == 1
         c = shard.counters
         assert (c.batches, c.received, c.admitted) == (1, 3, 3)
-        assert (c.filtered, c.dropped) == (0, 0)
+        assert c.dropped == 0
         shard.built_generation = shard.generation
         assert not shard.dirty
 
@@ -142,19 +93,6 @@ class TestShardState:
         shard = ShardState(("tinyapp", "0"), reservoir_capacity=10)
         with pytest.raises(ServiceError, match="routed"):
             shard.absorb(batch([1], label="other"))
-
-    def test_hot_threshold_filters_first_occurrences(self):
-        shard = ShardState(("tinyapp", "0"), reservoir_capacity=100, hot_threshold=2)
-        shard.absorb(batch([7, 7, 7, 9]))
-        c = shard.counters
-        # First sighting of each pc (7 and 9) falls below the
-        # threshold; the repeats of 7 clear it.
-        assert c.filtered == 2
-        assert c.admitted == 2
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ServiceError):
-            ShardState(("a", "0"), reservoir_capacity=10, hot_threshold=0)
 
     def test_fold_matches_direct_profile(self):
         shard = ShardState(("tinyapp", "0"), reservoir_capacity=100)

@@ -1,8 +1,7 @@
 """Online == offline plan parity across the full app catalog.
 
-The acceptance property of the plan service: with lossless ingest
-defaults (hot_threshold=1, reservoir at least the stream size), the
-plan served after streaming an app's miss samples is site-for-site
+The acceptance property of the plan service: with a lossless ingest
+fold (a reservoir at least the stream size), the plan served after streaming an app's miss samples is site-for-site
 identical to the offline ``collect_profile`` → ``build_plan`` result —
 the online path adds transport, not analysis.
 """

@@ -49,7 +49,7 @@ def stream_artifacts(tiny_workload, tiny_trace):
 
 
 def make_buffer(**overrides) -> IngestBuffer:
-    defaults = dict(reservoir_capacity=16, hot_threshold=1, seed=3)
+    defaults = dict(reservoir_capacity=16, seed=3)
     defaults.update(overrides)
     return IngestBuffer(**defaults)
 
@@ -105,23 +105,13 @@ class TestShardRoundTrip:
 
         assert restored.generation == shard.generation
         assert restored.reservoir.items == shard.reservoir.items
-        assert restored.sketch._rows == shard.sketch._rows
 
         feed(original, stream, label, start=6, upto=None)
         feed(restored_buffer, stream, label, start=6, upto=None)
         assert restored.reservoir.items == shard.reservoir.items
         assert restored.reservoir.seen == shard.reservoir.seen
         assert restored.reservoir.evicted == shard.reservoir.evicted
-        assert restored.sketch._rows == shard.sketch._rows
         assert restored.counters == shard.counters
-
-    def test_sketch_geometry_mismatch_rejected(self, stream_artifacts):
-        profile, stream = stream_artifacts
-        buffer = make_buffer(sketch_width=256)
-        feed(buffer, stream, profile.input_label, upto=2)
-        data = shard_to_dict(buffer.get((APP, profile.input_label)))
-        with pytest.raises(SnapshotError, match="sketch geometry"):
-            shard_from_dict(data, make_buffer(sketch_width=512))
 
     def test_reservoir_capacity_mismatch_rejected(self, stream_artifacts):
         profile, stream = stream_artifacts
@@ -428,4 +418,32 @@ class TestVersionOneState:
         )
         SnapshotStore(state).write(data)
         with pytest.raises(SnapshotError, match="version 1"):
+            service().restore()
+
+
+class TestVersionTwoState:
+    """A state directory written while shards carried a count-min sketch."""
+
+    def test_restore_refuses_it_as_a_snapshot_error(
+        self, tmp_path, tiny_workload, stream_artifacts
+    ):
+        profile, stream = stream_artifacts
+        state = str(tmp_path / "snapshots")
+
+        def service() -> PlanService:
+            return PlanService(
+                workload_for=lambda app: tiny_workload,
+                config=ServiceConfig(snapshot_dir=state),
+                sim_config=CFG,
+            )
+
+        source = service()
+        feed(source.buffer, stream, profile.input_label, upto=2)
+        data = capture_snapshot(source, 1, {})
+        data.update(format=2, schema_version=2)
+        for shard in data["shards"]:
+            shard["counters"]["filtered"] = 0
+            shard["sketch"] = {"rows": [[0] * 1024] * 4, "total": 0}
+        SnapshotStore(state).write(data)
+        with pytest.raises(SnapshotError, match="schema version 2"):
             service().restore()

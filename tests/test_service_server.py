@@ -22,7 +22,6 @@ from repro.errors import (
     ServiceClosed,
     ServiceError,
     ServiceOverload,
-    TransientBuildError,
 )
 from repro.service.bench import collect_sample_stream
 from repro.service.build import diff_plans, plans_equivalent
@@ -264,58 +263,6 @@ class TestPublishGate:
             return version
 
         assert asyncio.run(scenario()).checked is False
-
-
-class TestRetries:
-    def test_transient_failures_are_retried(self, tiny_workload, stream_artifacts):
-        profile, stream = stream_artifacts
-        failures = {"left": 2}
-
-        def flaky(plan):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise TransientBuildError("simulated flake")
-
-        async def scenario():
-            service = make_service(
-                tiny_workload,
-                debounce_s=60.0,
-                build_retries=2,
-                backoff_base_s=0.001,
-            )
-            service.builder.post_build_hook = flaky
-            await service.start()
-            await service.ingest(APP, profile.input_label, stream)
-            version = await service.get_plan(APP, profile.input_label)
-            stats = await service.stop()
-            return version, stats
-
-        version, stats = asyncio.run(scenario())
-        assert version.version == 1
-        assert stats["counters"]["service.build_retries"] == 2
-
-    def test_retry_budget_exhausts(self, tiny_workload, stream_artifacts):
-        profile, stream = stream_artifacts
-
-        def always_flaky(plan):
-            raise TransientBuildError("permanent flake")
-
-        async def scenario():
-            service = make_service(
-                tiny_workload,
-                debounce_s=60.0,
-                build_retries=1,
-                backoff_base_s=0.001,
-            )
-            service.builder.post_build_hook = always_flaky
-            await service.start()
-            await service.ingest(APP, profile.input_label, stream)
-            with pytest.raises(TransientBuildError):
-                await service.get_plan(APP, profile.input_label)
-            service.builder.post_build_hook = None
-            await service.stop()
-
-        asyncio.run(scenario())
 
 
 class TestVersioning:

@@ -78,7 +78,7 @@ class TestUnusedSuppressionsCli:
 
     def test_live_site_is_quiet(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
-        path.write_text("import random  # staticcheck: disable=L101\n")
+        path.write_text("import random  # staticcheck: disable=L101\nprint(random)\n")
         assert main(["--report-unused-suppressions", "--strict", str(path)]) == 0
 
 

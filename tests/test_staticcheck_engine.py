@@ -37,16 +37,18 @@ def rules_of(findings):
 
 class TestDeterminismRules:
     def test_l101_random_import(self, tmp_path):
-        findings = lint_snippet(tmp_path, "import random\n")
+        findings = lint_snippet(tmp_path, "import random\nprint(random)\n")
         assert rules_of(findings) == {"L101"}
 
     def test_l101_from_import_and_uuid(self, tmp_path):
-        findings = lint_snippet(tmp_path, "from random import choice\nimport uuid\n")
+        findings = lint_snippet(
+            tmp_path, "from random import choice\nimport uuid\nprint(choice, uuid)\n"
+        )
         assert [f.rule for f in findings] == ["L101", "L101"]
 
     def test_l101_allowed_in_rng_home(self, tmp_path):
         findings = lint_snippet(
-            tmp_path, "import random\n", name="workloads/rng.py"
+            tmp_path, "import random\nprint(random)\n", name="workloads/rng.py"
         )
         assert findings == []
 
@@ -165,6 +167,37 @@ class TestHygieneRule:
         assert [(f.rule, f.line) for f in findings] == [("L108", 3), ("L108", 4)]
         assert "pure-Python encoder" in findings[0].message
 
+    def test_l109_unused_import(self, tmp_path):
+        src = (
+            "import itertools\n"
+            "import os.path\n"
+            "from typing import Dict, List\n"
+            "from .b import helper as h\n"
+            "def f(x: List[int]) -> None:\n"
+            "    return os.path.join(x)\n"
+        )
+        findings = lint_snippet(tmp_path, src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("L109", 1), ("L109", 3), ("L109", 4)
+        ]
+        assert ["'itertools'", "'Dict'", "'h'"] == [
+            f.message.split()[0] for f in findings
+        ]
+
+    def test_l109_exempts_reexports_and_string_annotations(self, tmp_path):
+        src = "from .a import x, y\n__all__ = ['x']\n"
+        assert rules_of(lint_snippet(tmp_path, src)) == {"L109"}
+        assert lint_snippet(tmp_path, src, name="pkg/__init__.py") == []
+        src = (
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING, Optional\n"
+            "if TYPE_CHECKING:\n"
+            "    from .c import Settings\n"
+            "def f(s: Optional['Settings'] = None) -> None:\n"
+            "    return s\n"
+        )
+        assert lint_snippet(tmp_path, src) == []
+
     def test_l108_dumps_and_indented_dump_allowed(self, tmp_path):
         # Indented output runs the pure-Python encoder whichever call
         # writes it, so only un-indented json.dump is a finding.
@@ -265,20 +298,23 @@ class TestSanitizeCoverageRule:
 
 class TestSuppressions:
     def test_line_suppression_by_id(self, tmp_path):
-        src = "import random  # staticcheck: disable=L101\n"
+        src = "import random  # staticcheck: disable=L101\nprint(random)\n"
         assert lint_snippet(tmp_path, src) == []
 
     def test_line_suppression_by_name(self, tmp_path):
-        src = "import random  # staticcheck: disable=no-ambient-rng\n"
+        src = "import random  # staticcheck: disable=no-ambient-rng\nprint(random)\n"
         assert lint_snippet(tmp_path, src) == []
 
     def test_line_suppression_is_per_rule(self, tmp_path):
         # Suppressing one rule does not blanket the line.
-        src = "import random  # staticcheck: disable=L104\n"
+        src = "import random  # staticcheck: disable=L104\nprint(random)\n"
         assert rules_of(lint_snippet(tmp_path, src)) == {"L101"}
 
     def test_line_suppression_multiple_rules(self, tmp_path):
-        src = "import random, uuid  # staticcheck: disable=L101,L104\n"
+        src = (
+            "import random, uuid  # staticcheck: disable=L101,L104\n"
+            "print(random, uuid)\n"
+        )
         assert lint_snippet(tmp_path, src) == []
 
     def test_file_suppression(self, tmp_path):
@@ -286,11 +322,12 @@ class TestSuppressions:
             "# staticcheck: disable-file=L101\n"
             "import random\n"
             "from random import choice\n"
+            "print(random, choice)\n"
         )
         assert lint_snippet(tmp_path, src) == []
 
     def test_wrong_line_does_not_suppress(self, tmp_path):
-        src = "# staticcheck: disable=L101\nimport random\n"
+        src = "# staticcheck: disable=L101\nimport random\nprint(random)\n"
         assert rules_of(lint_snippet(tmp_path, src)) == {"L101"}
 
 
@@ -337,7 +374,7 @@ class TestSuppressionEngineEdgeCases:
         return findings, engine.unused_suppression_findings(modules, known)
 
     def test_unknown_rule_id_has_no_effect_and_is_reported(self, tmp_path):
-        src = "import random  # staticcheck: disable=L999\n"
+        src = "import random  # staticcheck: disable=L999\nprint(random)\n"
         findings, unused = self._lint_with_unused(tmp_path, src)
         assert rules_of(findings) == {"L101"}  # bogus token suppresses nothing
         assert [u.rule for u in unused] == ["U101"]
@@ -350,6 +387,7 @@ class TestSuppressionEngineEdgeCases:
             "# staticcheck: disable=L101  # staticcheck: disable-file=L104\n"
             "import os\n"
             "v = os.getenv('X')\n"
+            "print(random)\n"
         )
         findings, unused = self._lint_with_unused(tmp_path, src)
         assert findings == []  # both directives applied
@@ -359,6 +397,7 @@ class TestSuppressionEngineEdgeCases:
         src = (
             "import random  # staticcheck: disable=L101\n"
             "x = 1  # staticcheck: disable=L106\n"
+            "print(random)\n"
         )
         findings, unused = self._lint_with_unused(tmp_path, src)
         assert findings == []
@@ -372,6 +411,7 @@ class TestSuppressionEngineEdgeCases:
         src = (
             '"""Use # staticcheck: disable=L101 to waive."""\n'
             "import random\n"
+            "print(random)\n"
         )
         findings, unused = self._lint_with_unused(tmp_path, src)
         assert rules_of(findings) == {"L101"}
@@ -397,7 +437,7 @@ class TestRuleInventoryPinned:
         assert set(PLAN_RULES) == {f"P10{i}" for i in range(1, 9)}
         assert set(CFG_RULES) == {f"C10{i}" for i in range(1, 6)}
         default_rules()
-        assert set(LINT_RULES) == {f"L10{i}" for i in range(1, 9)}
+        assert set(LINT_RULES) == {f"L10{i}" for i in range(1, 10)}
         assert set(SERVICE_RULES) == {f"A10{i}" for i in range(1, 7)}
         assert set(ENGINE_RULES) == {"U101"}
 
@@ -416,7 +456,7 @@ class TestRepoIsClean:
     def test_rule_catalog_registered(self):
         rules = default_rules()
         assert {r.rule for r in rules} == set(LINT_RULES)
-        assert len(LINT_RULES) == 8
+        assert len(LINT_RULES) == 9
 
     def test_source_tree_lints_clean(self):
         findings = lint_source_tree()

@@ -166,6 +166,16 @@ def test_line_index_predecodes_like_the_binary():
         ], line
 
 
+def test_block_index_at_bisects_the_start_column():
+    wl = build_workload(get_app("drupal", scale=0.1), seed=0)
+    for i, start in enumerate(wl.block_start):
+        assert wl.block_index_at(start) == i
+    mid = next(i for i, size in enumerate(wl.block_size) if size > 1)
+    for addr in (wl.block_start[mid] + 1, wl.block_start[-1] + wl.block_size[-1]):
+        with pytest.raises(KeyError):
+            wl.block_index_at(addr)
+
+
 COLUMNS = (
     "block_start",
     "block_size",
