@@ -47,6 +47,8 @@ EVENT_ROLLED_BACK = "rolled_back"
 CANARY_FRACTION = 0.5
 # Closed windows each arm needs before a verdict.
 CANARY_WINDOWS = 2
+# Salts the traffic split and the regression detector.
+CANARY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,16 @@ class CanarySettings:
     ``enabled`` gates the whole stage: when off, every published
     version activates immediately and feedback only feeds the
     baseline's effectiveness metric (Layer 2 standalone).  ``window``
-    is the per-arm feedback window size, ``threshold`` the absolute
-    covered-fraction drop that counts as a regression, and ``seed``
-    salts both the traffic split and the detector.  The candidate gets
-    :data:`CANARY_FRACTION` of the traffic, and each arm closes
-    :data:`CANARY_WINDOWS` windows before a verdict.
+    is the per-arm feedback window size, and ``threshold`` the absolute
+    covered-fraction drop that counts as a regression.  The candidate
+    gets :data:`CANARY_FRACTION` of the traffic, each arm closes
+    :data:`CANARY_WINDOWS` windows before a verdict, and
+    :data:`CANARY_SEED` salts both the traffic split and the detector.
     """
 
     enabled: bool = False
     window: int = 64
     threshold: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -78,7 +79,7 @@ class CanarySettings:
 
     def detector(self) -> RegressionDetector:
         return RegressionDetector(
-            threshold=self.threshold, windows=CANARY_WINDOWS, seed=self.seed
+            threshold=self.threshold, windows=CANARY_WINDOWS, seed=CANARY_SEED
         )
 
 
@@ -224,7 +225,7 @@ class CanaryController:
             )
             state.observed += 1
             return None
-        arm = assign_arm(self.settings.seed, key, state.observed, CANARY_FRACTION)
+        arm = assign_arm(CANARY_SEED, key, state.observed, CANARY_FRACTION)
         state.observed += 1
         if arm == "candidate":
             assert state.candidate_tracker is not None

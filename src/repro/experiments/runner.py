@@ -17,8 +17,8 @@ the environment.  Beyond the trace and sampling fields it carries:
 
 * ``sanitize`` — run every simulation and profile with runtime
   invariant checks (``SimConfig.sanitize``; CLI ``--sanitize``);
-* ``check_plans`` — statically verify every built plan with
-  :mod:`repro.staticcheck` and refuse error-severity findings (CLI
+* ``check_plans`` — pass every built plan through the plan service's
+  publish gate (:func:`repro.staticcheck.gate_plan`; CLI
   ``--check-plans``);
 * ``telemetry_path`` — append JSONL telemetry to this log (CLI
   ``--telemetry``; see :mod:`repro.telemetry`).
@@ -49,7 +49,7 @@ from .. import __version__
 from ..config import SimConfig, apps_from_env, int_from_env
 from ..core.plan import PrefetchPlan
 from ..core.twig import build_plan
-from ..errors import ConfigError, PlanError, ReproError
+from ..errors import ConfigError, ReproError
 from ..prefetchers.base import BaselineBTBSystem
 from ..prefetchers.confluence import ConfluenceBTBSystem
 from ..prefetchers.shotgun import ShotgunBTBSystem
@@ -164,7 +164,6 @@ class ExperimentRunner:
         if self.telemetry is not None and self.cache is not None:
             self.cache.sink = self.telemetry
         self._workloads: Dict[str, Workload] = {}
-        self._block_graphs: Dict[tuple, object] = {}
         self._traces: Dict[Tuple[str, int], Trace] = {}
         self._profiles: Dict[Tuple[str, int], MissProfile] = {}
         self._plans: Dict[Tuple[str, int, tuple], PrefetchPlan] = {}
@@ -321,33 +320,14 @@ class ExperimentRunner:
             with self._span("plan_build", app=app, input=idx):
                 plan = build_plan(wl, prof, cfg)
             if self.settings.check_plans:
-                self._verify_plan(app, plan, wl, cfg)
+                # A refused plan (PlanError) never reaches a simulation
+                # or the disk cache of downstream results.
+                from ..staticcheck import gate_plan
+
+                with self._span("plan_check", app=app):
+                    gate_plan(plan, wl, cfg)
             self._plans[key] = plan
         return self._plans[key]
-
-    def _verify_plan(self, app: str, plan, wl: Workload, cfg: SimConfig) -> None:
-        """Statically verify a freshly built plan (``--check-plans``).
-
-        Error-severity findings abort with :class:`PlanError` before
-        the malformed plan can reach a simulation (or the disk cache of
-        downstream results).
-        """
-        from ..staticcheck import BlockGraph, verify_plan
-        from ..staticcheck.findings import Severity, render_text
-
-        gkey = (app, cfg.core.fetch_width_bytes)
-        graph = self._block_graphs.get(gkey)
-        if graph is None:
-            graph = BlockGraph(wl, fetch_width_bytes=cfg.core.fetch_width_bytes)
-            self._block_graphs[gkey] = graph
-        with self._span("plan_check", app=app):
-            findings = verify_plan(plan, wl, cfg, graph=graph)
-        errors = [f for f in findings if f.severity is Severity.ERROR]
-        if errors:
-            raise PlanError(
-                f"static verification rejected the plan for {app!r}:\n"
-                + render_text(errors)
-            )
 
     # ------------------------------------------------------------------
     def run(

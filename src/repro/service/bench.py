@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bench.clock import now as wall_now
@@ -493,7 +493,7 @@ def run_fleet(
 
     router = FleetRouter(
         config=config,
-        service_config=replace(_FLEET_WORKER, seed=config.seed),
+        service_config=_FLEET_WORKER,
         sim_config=sim_cfg,
         telemetry_path=telemetry_path,
         journal_path=journal_path,

@@ -9,9 +9,9 @@ online/offline parity a theorem rather than a hope.
 Around each build it layers the serving concerns:
 
 * **publish gate** — every candidate plan runs through
-  :func:`repro.staticcheck.verify_plan`; error-severity findings keep
-  the plan unpublished (:class:`~repro.errors.PlanError`), so a
-  corrupted build can never reach a client;
+  :func:`repro.staticcheck.gate_plan`; a finding keeps the plan
+  unpublished (:class:`~repro.errors.PlanError`), so a corrupted build
+  can never reach a client;
 * **versioning** — published plans carry a monotonically increasing
   per-shard version plus the shard generation they cover;
 * **plan diff** — a structured delta (sites added / dropped /
@@ -27,7 +27,6 @@ from typing import Callable, Dict, Optional, Tuple
 from ..config import SimConfig
 from ..core.plan import PrefetchPlan
 from ..core.twig import build_plan
-from ..errors import PlanError
 from ..workloads.cfg import Workload
 from .ingest import ShardKey, ShardState
 
@@ -97,7 +96,6 @@ class PlanVersion:
     samples: int  # retained samples the plan was built from
     plan: PrefetchPlan
     diff: PlanDiff
-    checked: bool  # went through the staticcheck publish gate
 
 
 class IncrementalPlanBuilder:
@@ -107,18 +105,12 @@ class IncrementalPlanBuilder:
         self,
         workload_for: Callable[[str], Workload],
         config: Optional[SimConfig] = None,
-        check_plans: bool = True,
         telemetry=None,
     ):
         self._workload_for = workload_for
         self.config = config if config is not None else SimConfig()
-        self.check_plans = check_plans
         self.telemetry = telemetry
         self._latest: Dict[ShardKey, PlanVersion] = {}
-        self._graphs: Dict[str, object] = {}
-        # Test/ops hook: invoked on the freshly built plan before the
-        # publish gate; lets harnesses inject corruption or latency.
-        self.post_build_hook: Optional[Callable[[PrefetchPlan], None]] = None
 
     # ------------------------------------------------------------------
     def latest(self, key: ShardKey) -> Optional[PlanVersion]:
@@ -147,6 +139,10 @@ class IncrementalPlanBuilder:
         rejects the candidate; the previously published version (if
         any) stays current in that case.
         """
+        # Imported on first build: starting the plan server loads no
+        # staticcheck module.
+        from ..staticcheck import gate_plan
+
         app, _label = shard.key
         generation = shard.generation
         profile = shard.fold()
@@ -155,12 +151,11 @@ class IncrementalPlanBuilder:
         if tel is not None:
             with tel.span("service_build", app=app, input=shard.key[1]):
                 plan = build_plan(workload, profile, self.config)
+            with tel.span("service_check", app=app):
+                gate_plan(plan, workload, self.config)
         else:
             plan = build_plan(workload, profile, self.config)
-        if self.post_build_hook is not None:
-            self.post_build_hook(plan)
-        if self.check_plans:
-            self._verify(app, plan, workload)
+            gate_plan(plan, workload, self.config)
 
         prev = self._latest.get(shard.key)
         version = PlanVersion(
@@ -170,33 +165,7 @@ class IncrementalPlanBuilder:
             samples=len(profile),
             plan=plan,
             diff=diff_plans(prev.plan if prev is not None else None, plan),
-            checked=self.check_plans,
         )
         self._latest[shard.key] = version
         shard.built_generation = generation
         return version
-
-    # ------------------------------------------------------------------
-    def _verify(self, app: str, plan: PrefetchPlan, workload: Workload) -> None:
-        """The staticcheck publish gate (mirrors the runner's)."""
-        from ..staticcheck import BlockGraph, verify_plan
-        from ..staticcheck.findings import Severity, render_text
-
-        graph = self._graphs.get(app)
-        if graph is None:
-            graph = BlockGraph(
-                workload, fetch_width_bytes=self.config.core.fetch_width_bytes
-            )
-            self._graphs[app] = graph
-        tel = self.telemetry
-        if tel is not None:
-            with tel.span("service_check", app=app):
-                findings = verify_plan(plan, workload, self.config, graph=graph)
-        else:
-            findings = verify_plan(plan, workload, self.config, graph=graph)
-        errors = [f for f in findings if f.severity is Severity.ERROR]
-        if errors:
-            raise PlanError(
-                f"publish gate rejected the plan for {app!r}:\n"
-                + render_text(errors)
-            )

@@ -97,6 +97,13 @@ GROW_QUEUE_FRAC = 0.75
 GROW_BUILD_LATENCY_S = 30.0
 SHRINK_QUEUE_FRAC = 0.05
 SHRINK_IDLE_TICKS = 3
+# Worker start method: fork where the platform has it (cheap), else
+# spawn.  Read in the router process only.
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+# Seed of the hash ring's virtual-node positions.
+RING_SEED = 0
 
 
 # ----------------------------------------------------------------------
@@ -116,10 +123,6 @@ class FleetConfig:
     max_workers: int = 8
     # Router-side bounded queue per worker (outstanding requests).
     queue_depth: int = 64
-    # multiprocessing start method: auto prefers fork (cheap) and falls
-    # back to spawn where fork is unavailable.
-    start_method: str = "auto"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -134,11 +137,6 @@ class FleetConfig:
         if self.queue_depth <= 0:
             raise ConfigError(
                 f"fleet queue_depth must be positive, got {self.queue_depth}"
-            )
-        if self.start_method not in ("auto", "fork", "spawn", "forkserver"):
-            raise ConfigError(
-                f"start_method must be auto/fork/spawn/forkserver, "
-                f"got {self.start_method!r}"
             )
 
 
@@ -516,7 +514,7 @@ class FleetRouter:
         self.workload_seed = workload_seed
         # App -> its workload's branch PC column (ingress block check).
         self._branch_pcs: Dict[str, Sequence[int]] = {}
-        self.ring = HashRing(seed=self.config.seed)
+        self.ring = HashRing(seed=RING_SEED)
         # Per-worker snapshot root: each worker gets snapshot_dir/<id>,
         # and ids regenerate w0..wN-1 on a fresh router, so a
         # fleet-wide kill restores every worker from its own snapshots
@@ -557,15 +555,7 @@ class FleetRouter:
         self.metrics: MetricsRegistry = (
             self.telemetry.registry if self.telemetry is not None else MetricsRegistry()
         )
-        method = self.config.start_method
-        if method == "auto":
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self._mp = multiprocessing.get_context(method)
-        self.start_method = method
+        self._mp = multiprocessing.get_context(START_METHOD)
         self._handles: Dict[str, _WorkerHandle] = {}
         # Contiguous journal prefix each worker has been sent, per shard.
         self._delivered: Dict[Tuple[str, ShardKey], int] = {}
@@ -672,64 +662,78 @@ class FleetRouter:
     def stop(self) -> Dict:
         """Fleet-wide graceful drain.
 
-        Heals crashed shards first (journal replay into the current
-        owners), then queues a drain behind every worker's backlog;
-        each worker's ``PlanService.stop()`` force-publishes its dirty
-        shards.  Returns the merged fleet report.
+        Replaces dead workers and heals crashed shards first (journal
+        replay into the current owners), then queues a drain behind
+        every worker's backlog; each worker's ``PlanService.stop()``
+        force-publishes its dirty shards.  Returns the merged fleet
+        report.
         """
         with self._lock:
             if not self._started:
                 raise FleetError("fleet not started")
-            self._closed = True
-            self._reap_dead()
-            # Every journaled shard must be fully delivered to its
-            # current owners before they drain, or a crash just before
-            # stop() would strand the shard unpublished.
-            for key in self.journal.keys():
-                for owner in self._owners(key):
-                    self._catch_up(owner, key)
-            futures: Dict[str, concurrent.futures.Future] = {}
-            for worker_id in sorted(self._handles):
-                handle = self._handles[worker_id]
-                handle.draining = True
-                try:
-                    futures[worker_id] = handle.submit(
-                        {"kind": "drain"},
-                        block=True,
-                        timeout=REQUEST_TIMEOUT_S,
-                    )
-                except WorkerCrashed:
-                    self.crashed_workers.append(worker_id)
-            worker_stats: Dict[str, Dict] = {}
-            for worker_id, future in sorted(futures.items()):
-                try:
-                    worker_stats[worker_id] = future.result(
-                        timeout=REQUEST_TIMEOUT_S
-                    )
-                except (WorkerCrashed, concurrent.futures.TimeoutError) as exc:
-                    worker_stats[worker_id] = {"drain_error": str(exc)}
-                    self.metrics.inc("fleet.drain_failures")
-            for worker_id in sorted(self._handles):
-                self._handles[worker_id].join()
-            self._note_worker_telemetry()
-            report = self._final_report(worker_stats)
-            self._record_decision(
-                "drain", "fleet stopped", {"workers": len(self._handles)}
-            )
-            if self.telemetry is not None:
-                self.telemetry.emit("fleet_drain", stats=report["router"])
-                self.telemetry.emit_summary()
-                self.telemetry.close()
-            self.journal.close()
-            if self._decisions_fh is not None:
-                try:
-                    self._decisions_fh.close()
-                except OSError:
-                    pass
-                self._decisions_fh = None
-            self._handles.clear()
-            self._started = False
-            return report
+            try:
+                return self._drain()
+            finally:
+                # Every exit, a failed drain included, ends the workers
+                # the drain did not and closes the router's three logs.
+                for handle in self._handles.values():
+                    if handle.process.is_alive():
+                        handle.process.kill()
+                    handle.mark_dead()
+                    handle.join()
+                self._handles.clear()
+                if self.telemetry is not None:
+                    self.telemetry.close()
+                self.journal.close()
+                if self._decisions_fh is not None:
+                    try:
+                        self._decisions_fh.close()
+                    except OSError:
+                        pass
+                    self._decisions_fh = None
+                self._started = False
+
+    def _drain(self) -> Dict:
+        # Reap before intake closes: a worker that died unseen is then
+        # replaced, so every journaled shard has an owner to drain.
+        self._reap_dead()
+        self._closed = True
+        # Every journaled shard must be fully delivered to its current
+        # owners before they drain, or a crash just before stop() would
+        # strand the shard unpublished.
+        for key in self.journal.keys():
+            for owner in self._owners(key):
+                self._catch_up(owner, key)
+        futures: Dict[str, concurrent.futures.Future] = {}
+        for worker_id in sorted(self._handles):
+            handle = self._handles[worker_id]
+            handle.draining = True
+            try:
+                futures[worker_id] = handle.submit(
+                    {"kind": "drain"},
+                    block=True,
+                    timeout=REQUEST_TIMEOUT_S,
+                )
+            except WorkerCrashed:
+                self.crashed_workers.append(worker_id)
+        worker_stats: Dict[str, Dict] = {}
+        for worker_id, future in sorted(futures.items()):
+            try:
+                worker_stats[worker_id] = future.result(timeout=REQUEST_TIMEOUT_S)
+            except (WorkerCrashed, concurrent.futures.TimeoutError) as exc:
+                worker_stats[worker_id] = {"drain_error": str(exc)}
+                self.metrics.inc("fleet.drain_failures")
+        for worker_id in sorted(self._handles):
+            self._handles[worker_id].join()
+        self._note_worker_telemetry()
+        report = self._final_report(worker_stats)
+        self._record_decision(
+            "drain", "fleet stopped", {"workers": len(self._handles)}
+        )
+        if self.telemetry is not None:
+            self.telemetry.emit("fleet_drain", stats=report["router"])
+            self.telemetry.emit_summary()
+        return report
 
     def _note_worker_telemetry(self) -> None:
         """Per-pid router-side counters (shed / queue depth) for the report."""

@@ -58,8 +58,9 @@ from .persist import plan_version_from_dict, plan_version_to_dict
 
 # Wire-format schema version (independent of artifact/journal schemas).
 # Version 2 sends plan versions in the columnar plan layout; version 3
-# drops the ingest ack's ``filtered`` count.
-WIRE_SCHEMA_VERSION = 3
+# drops the ingest ack's ``filtered`` count; version 4 drops the plan
+# version's ``checked`` flag.
+WIRE_SCHEMA_VERSION = 4
 
 _SCHEMA_HEADER = "X-Repro-Schema"
 

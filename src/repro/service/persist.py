@@ -52,8 +52,10 @@ from .ingest import ShardKey, ShardState, decode_samples, encode_samples
 
 # Snapshot schema version (independent of profile/plan/journal schemas).
 # Version 2 holds plans and plan diffs in the columnar plan layout;
-# version 3 drops the count-min sketch rows and the filtered counter.
-PERSIST_SCHEMA_VERSION = 3
+# version 3 drops the count-min sketch rows and the filtered counter;
+# version 4 drops each plan version's ``checked`` flag (every published
+# plan has passed the gate).
+PERSIST_SCHEMA_VERSION = 4
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
@@ -145,7 +147,6 @@ def plan_version_to_dict(version: PlanVersion) -> dict:
         "version": version.version,
         "generation": version.generation,
         "samples": version.samples,
-        "checked": version.checked,
         "plan": plan_to_dict(version.plan),
         "diff": {
             "added": flat_rows(diff.added),
@@ -171,7 +172,6 @@ def plan_version_from_dict(data: dict) -> PlanVersion:
             samples=int(data["samples"]),
             plan=plan,
             diff=PlanDiff(**diff),
-            checked=bool(data["checked"]),
         )
     except (PlanError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"malformed plan-version snapshot: {exc}") from exc

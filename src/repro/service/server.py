@@ -158,7 +158,6 @@ class PlanService:
         workload_for: Optional[Callable[[str], Workload]] = None,
         config: Optional[ServiceConfig] = None,
         sim_config: Optional[SimConfig] = None,
-        check_plans: bool = True,
         telemetry=None,
         canary: Optional["CanarySettings"] = None,
     ):
@@ -189,10 +188,7 @@ class PlanService:
         # loop; the ingress block check reads it.
         self._branch_pcs: Dict[str, asyncio.Future] = {}
         self.builder = IncrementalPlanBuilder(
-            workload_for,
-            config=sim_config,
-            check_plans=check_plans,
-            telemetry=telemetry,
+            workload_for, config=sim_config, telemetry=telemetry
         )
         self._queue: Optional[asyncio.Queue] = None
         self._workers: List[asyncio.Task] = []
@@ -342,8 +338,9 @@ class PlanService:
     async def stop(self) -> Dict:
         """Graceful drain: finish the backlog, publish dirty shards.
 
-        Returns the final stats snapshot.  Worker crashes (non-repro
-        bugs) surface here rather than hanging the drain.
+        Returns the final stats snapshot.  The worker tasks outlive any
+        failed request (:meth:`_handle`), so each one reaches its
+        sentinel and the drain never waits on a dead task.
         """
         if not self._started:
             raise ServiceError("service not started")
@@ -566,9 +563,7 @@ class PlanService:
                 queue.task_done()
                 continue
             try:
-                if self.config.synthetic_delay_s > 0 and req.kind != "ingest":
-                    await asyncio.sleep(self.config.synthetic_delay_s)
-                result = await self._process(req)
+                result = await self._handle(req)
             except ReproError as exc:
                 if not req.future.done():
                     req.future.set_exception(exc)
@@ -582,6 +577,24 @@ class PlanService:
                 if not req.future.done():
                     req.future.set_result(result)
                 queue.task_done()
+
+    async def _handle(self, req: _Request):
+        """:meth:`_process`, with a non-repro exception made a ServiceError.
+
+        A bug in a fold, build or stats call then fails only its own
+        request, chained to its cause, and the worker task keeps serving.
+        """
+        try:
+            if self.config.synthetic_delay_s > 0 and req.kind != "ingest":
+                await asyncio.sleep(self.config.synthetic_delay_s)
+            return await self._process(req)
+        except ReproError:
+            raise
+        except Exception as exc:
+            self.metrics.inc("service.worker_errors")
+            raise ServiceError(
+                f"{req.kind} request failed: {type(exc).__name__}: {exc}"
+            ) from exc
 
     async def _process(self, req: _Request):
         if req.kind == "ingest":

@@ -12,7 +12,8 @@ Usage::
 ``--check-plans`` drives the real pipeline (workload → trace → profile
 → plan) for each selected app — honoring ``REPRO_APPS`` /
 ``REPRO_TRACE_INSTRUCTIONS`` / ``REPRO_SAMPLE_RATE`` — then runs the
-layer-1 verifier over the workload CFG and the built plan.  Exit codes:
+layer-1 verifier over the workload CFG and the built plan, plus the
+report-only ``P107`` timeliness check no gate runs.  Exit codes:
 0 clean, 1 gating findings (errors; warnings too with ``--strict``),
 2 usage or pipeline error.
 """
@@ -132,7 +133,7 @@ def _check_plans(apps_arg: str) -> List[Finding]:
     from ..experiments.runner import ExperimentRunner, RunnerSettings
     from ..workloads.apps import app_names
     from .cfg_checks import BlockGraph, verify_workload
-    from .plan_checks import verify_plan
+    from .plan_checks import plan_timeliness, verify_plan
 
     if apps_arg:
         apps = tuple(a.strip() for a in apps_arg.split(",") if a.strip())
@@ -145,8 +146,8 @@ def _check_plans(apps_arg: str) -> List[Finding]:
         )
 
     # check_plans stays off: this command *is* the verification; the
-    # runner's own hook would raise on the first error instead of
-    # reporting all findings.
+    # runner's gate would raise on the first error instead of reporting
+    # all findings, and would skip the P107 timeliness report.
     runner = ExperimentRunner(replace(RunnerSettings.from_env(), apps=apps))
     cfg = SimConfig()
     findings: List[Finding] = []
@@ -156,6 +157,7 @@ def _check_plans(apps_arg: str) -> List[Finding]:
         plan = runner.plan(app, config=cfg)
         graph = BlockGraph(wl, fetch_width_bytes=cfg.core.fetch_width_bytes)
         findings.extend(verify_plan(plan, wl, cfg, graph=graph))
+        findings.extend(plan_timeliness(plan, wl, cfg, graph=graph))
     return findings
 
 

@@ -63,7 +63,6 @@ class BlockGraph:
     def __init__(self, workload: Workload, fetch_width_bytes: int = 32):
         wl = workload
         n = wl.n_blocks
-        self.workload = wl
         self.n_blocks = n
         # Fetch units per block: the trace walker/simulator fetch one
         # ``fetch_width_bytes`` unit per BPU cycle at best.

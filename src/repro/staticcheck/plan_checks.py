@@ -32,12 +32,15 @@ rule id   name                  severity  property
                                           internally consistent
 ========  ====================  ========  =============================
 
-``P107`` is a warning by construction: golden injection sites are
-selected from *dynamic* LBR leads, which include stall cycles and loop
-iterations, so a short static shortest path does not prove the
-prefetch is late on hot paths — but it is the one path-shape signal a
-reviewer should see.  The degenerate cases that are provably wrong
-(site == branch block, no path at all) gate as ``P105`` errors.
+:func:`verify_plan` runs the error rules, the properties a plan must
+have to be published.  ``P107`` is a warning by construction: golden
+injection sites are selected from *dynamic* LBR leads, which include
+stall cycles and loop iterations, so a short static shortest path does
+not prove the prefetch is late on hot paths.  It can never fail a plan,
+so it is report-only: :func:`plan_timeliness` computes it, and only
+``python -m repro.staticcheck --check-plans`` calls that.  The
+degenerate cases that are provably wrong (site == branch block, no path
+at all) gate as ``P105`` errors.
 """
 
 from __future__ import annotations
@@ -91,13 +94,17 @@ def _op_loc(plan: PrefetchPlan, op: InjectionOp, i: int) -> str:
     return f"plan[{plan.app_name}].block[{op.block}].op[{i}]"
 
 
+def _pair_loc(plan: PrefetchPlan, site: int, branch_block: int) -> str:
+    return f"plan[{plan.app_name}].block[{site}]->block[{branch_block}]"
+
+
 def verify_plan(
     plan: PrefetchPlan,
     workload: Workload,
     config: Optional[SimConfig] = None,
     graph: Optional[BlockGraph] = None,
 ) -> List[Finding]:
-    """Check *plan* against *workload* under *config*; return findings.
+    """Check *plan* against *workload* under *config*: the error rules.
 
     Pass a prebuilt :class:`BlockGraph` to amortize graph construction
     across plans of the same workload (e.g. a config sweep).
@@ -137,7 +144,7 @@ def verify_plan(
         prev_pc = max(prev_pc, pc)
 
     # --- per-op rules ----------------------------------------------------
-    # (site, branch_block) pairs for the reachability/timeliness pass.
+    # (site, branch_block) pairs for the reachability pass.
     pairs: Set[Tuple[int, int]] = set()
 
     for key_block, ops in plan.ops_by_block.items():
@@ -290,12 +297,11 @@ def verify_plan(
                 if 0 <= op.block < n_blocks:
                     pairs.add((op.block, branch_block))
 
-    # --- P105/P107: reachability and static timeliness -------------------
+    # --- P105: reachability --------------------------------------------
     if pairs:
         reach = graph.reachable_targets(sorted({b for _, b in pairs}))
-        threshold = twig.prefetch_distance
         for site, branch_block in sorted(pairs):
-            loc = f"{loc_plan}.block[{site}]->block[{branch_block}]"
+            loc = _pair_loc(plan, site, branch_block)
             if site == branch_block:
                 findings.append(
                     _f(
@@ -305,26 +311,13 @@ def verify_plan(
                         "block: the prefetch can never lead its lookup",
                     )
                 )
-                continue
-            if not reach.reaches(site, branch_block):
+            elif not reach.reaches(site, branch_block):
                 findings.append(
                     _f(
                         "P105",
                         loc,
                         f"no CFG path from injection site block {site} "
                         f"to branch block {branch_block}",
-                    )
-                )
-                continue
-            lead = graph.min_lead(site, branch_block, threshold)
-            if lead is not None:
-                findings.append(
-                    _f(
-                        "P107",
-                        loc,
-                        f"static shortest path is {lead} fetch unit(s), "
-                        f"below prefetch_distance={threshold}; the "
-                        "prefetch may be late along this path",
                     )
                 )
 
@@ -368,4 +361,46 @@ def verify_plan(
                 "brcoalesce op references the table",
             )
         )
+    return findings
+
+
+def plan_timeliness(
+    plan: PrefetchPlan,
+    workload: Workload,
+    config: Optional[SimConfig] = None,
+    graph: Optional[BlockGraph] = None,
+) -> List[Finding]:
+    """``P107`` warnings for *plan*: report-only, never a gate.
+
+    One finding per (injection site, branch block) pair whose static
+    shortest path is below ``prefetch_distance`` fetch units.  Pairs
+    that :func:`verify_plan` rejects as ``P105`` (site out of range, the
+    branch's own block) are skipped; a pair with no path has no lead.
+    """
+    cfg = config if config is not None else SimConfig()
+    if graph is None:
+        graph = BlockGraph(workload, fetch_width_bytes=cfg.core.fetch_width_bytes)
+    pairs: Set[Tuple[int, int]] = set()
+    for ops in plan.ops_by_block.values():
+        for op in ops:
+            if not 0 <= op.block < workload.n_blocks:
+                continue
+            for pc, _, _ in op.entries:
+                branch_block = graph.block_of_pc(pc)
+                if branch_block is not None and branch_block != op.block:
+                    pairs.add((op.block, branch_block))
+    threshold = cfg.twig.prefetch_distance
+    findings: List[Finding] = []
+    for site, branch_block in sorted(pairs):
+        lead = graph.min_lead(site, branch_block, threshold)
+        if lead is not None:
+            findings.append(
+                _f(
+                    "P107",
+                    _pair_loc(plan, site, branch_block),
+                    f"static shortest path is {lead} fetch unit(s), "
+                    f"below prefetch_distance={threshold}; the "
+                    "prefetch may be late along this path",
+                )
+            )
     return findings

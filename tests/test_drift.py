@@ -79,11 +79,11 @@ def wp_stream():
 # Episode driver (mirrors the drift-bench flow, compact)
 # ----------------------------------------------------------------------
 
-def _settings(seed: int = 0) -> CanarySettings:
-    return CanarySettings(enabled=True, window=16, threshold=0.05, seed=seed)
+def _settings() -> CanarySettings:
+    return CanarySettings(enabled=True, window=16, threshold=0.05)
 
 
-def _drift_service(state_dir: str, seed: int = 0) -> PlanService:
+def _drift_service(state_dir: str) -> PlanService:
     return PlanService(
         workload_for=default_workload_resolver(),
         config=ServiceConfig(
@@ -96,8 +96,7 @@ def _drift_service(state_dir: str, seed: int = 0) -> PlanService:
             snapshot_every=1_000_000,  # snapshots ride on publishes/verdicts
         ),
         sim_config=SIM_CFG,
-        check_plans=True,
-        canary=_settings(seed),
+        canary=_settings(),
     )
 
 
@@ -118,7 +117,7 @@ async def _run_episode(
     feedback = feedback_view(stream, schedule, deployed_fraction=0.25)
     relocated = set(schedule.relocated_pcs().values())
 
-    service = _drift_service(state_dir, seed)
+    service = _drift_service(state_dir)
     await service.start()
     for seq, start in enumerate(range(0, len(pre), BATCH)):
         await service.ingest(APP, label, pre[start : start + BATCH], seq=seq)
@@ -148,7 +147,7 @@ async def _run_episode(
             # is from the start; the restored canary counter is 0 and
             # the deterministic split reproduces the exact same arms.
             await _abandon_service(service)
-            service = _drift_service(state_dir, seed)
+            service = _drift_service(state_dir)
             service.restore()
             await service.start()
             kill_at = None
@@ -180,7 +179,7 @@ async def _run_episode(
     # Kill after the verdict and restore: the rollback (or promotion)
     # must survive with identical lineage and active plan.
     await _abandon_service(service)
-    revived = _drift_service(state_dir, seed)
+    revived = _drift_service(state_dir)
     revived.restore()
     await revived.start()
     restored_state = revived.canary.states.get(key)
@@ -413,7 +412,6 @@ class TestProfileEpochs:
                 workload_for=default_workload_resolver(),
                 config=config,
                 sim_config=SIM_CFG,
-                check_plans=True,
             )
 
         async def crashy():
@@ -449,7 +447,6 @@ class TestProfileEpochs:
                 workload_for=default_workload_resolver(),
                 config=ServiceConfig(debounce_s=60.0, deadline_ms=60_000),
                 sim_config=SIM_CFG,
-                check_plans=True,
             )
             await service.start()
             for seq in (0, 1):

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,11 @@ from repro.service.fleet import (
 )
 from repro.service.ingest import encode_samples
 from repro.service.journal import IngestJournal, read_journal
-from repro.service.server import ServiceConfig, default_workload_resolver
+from repro.service.server import (
+    PlanService,
+    ServiceConfig,
+    default_workload_resolver,
+)
 from repro.telemetry.events import TelemetrySink
 from repro.trace.walker import generate_trace
 from repro.workloads.apps import app_names
@@ -69,8 +74,14 @@ def offline_plan(app, profile):
     return build_plan(default_workload_resolver()(app), profile, SIM_CFG)
 
 
+@pytest.fixture(autouse=True)
+def ring_seed_one(monkeypatch):
+    """Every router of this module places its virtual nodes from seed 1."""
+    monkeypatch.setattr(fleet, "RING_SEED", 1)
+
+
 def make_router(**overrides) -> FleetRouter:
-    fleet_kwargs = {"workers": 2, "seed": 1}
+    fleet_kwargs = {"workers": 2}
     fleet_kwargs.update(overrides)
     return FleetRouter(
         config=FleetConfig(**fleet_kwargs),
@@ -138,6 +149,72 @@ class TestCrashRecovery:
             version = router.get_plan("wordpress", label)
             assert plans_equivalent(version.plan, offline_plan("wordpress", profile))
             assert router.journal.count(("wordpress", label)) == journaled
+
+    def test_stop_replaces_a_last_worker_that_died_unseen(
+        self, app_streams, tmp_path
+    ):
+        """A worker killed behind the router's back is reaped before
+        intake closes: its replacement replays the journal and the
+        drain publishes the shard."""
+        label, profile, stream = app_streams["wordpress"]
+        service_config = ServiceConfig(
+            reservoir_capacity=1 << 20, deadline_ms=60_000, debounce_s=30.0
+        )
+        router = FleetRouter(
+            config=FleetConfig(workers=1),
+            service_config=service_config,
+            sim_config=SIM_CFG,
+            snapshot_dir=str(tmp_path),
+        )
+        router.start()
+        router.ingest("wordpress", label, stream, seq=0)
+        (victim,) = router._handles.values()
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.process.join(10.0)
+        assert not victim.process.is_alive()
+        report = router.stop()
+        shard = f"wordpress/{label}"
+        assert report["router"]["published"] == {shard: 1}
+        assert report["abandoned_shards"] == []
+        assert report["router"]["crashed_workers"] == ["w0"]
+        assert not router._started
+        # The replacement's final snapshot holds the drained plan.
+        drained = PlanService(
+            config=replace(service_config, snapshot_dir=str(tmp_path / "w1")),
+            sim_config=SIM_CFG,
+        )
+        drained.restore()
+        version = drained.builder.latest(("wordpress", label))
+        assert plans_equivalent(version.plan, offline_plan("wordpress", profile))
+
+    def test_a_failed_drain_still_ends_the_workers_and_closes_the_logs(
+        self, app_streams, tmp_path, monkeypatch
+    ):
+        """A drain that raises part way still kills the workers it did
+        not end and closes the router's three logs."""
+        label, _profile, stream = app_streams["wordpress"]
+        router = FleetRouter(
+            config=FleetConfig(workers=1),
+            sim_config=SIM_CFG,
+            telemetry_path=str(tmp_path / "telemetry.jsonl"),
+            journal_path=str(tmp_path / "journal.jsonl"),
+            decisions_path=str(tmp_path / "decisions.jsonl"),
+        )
+        router.start()
+        router.ingest("wordpress", label, chunks(stream)[0], seq=0)
+        (handle,) = router._handles.values()
+
+        def no_owner(key):
+            raise FleetError("hash ring has no workers; nothing can own keys")
+
+        monkeypatch.setattr(router, "_owners", no_owner)
+        with pytest.raises(FleetError, match="no workers"):
+            router.stop()
+        assert not handle.process.is_alive()
+        assert router.telemetry._fh.closed
+        assert router.journal._fh is None
+        assert router._decisions_fh is None
+        assert not router._started and not router._handles
 
 
 def claim(marker_dir, limit: int) -> bool:
@@ -287,7 +364,7 @@ class TestRebalanceAndDrain:
     ):
         """Eager-debounce builds are pending at stop(); none may strand."""
         router = FleetRouter(
-            config=FleetConfig(workers=2, seed=1),
+            config=FleetConfig(workers=2),
             # debounce 0 -> every ingest arms an immediate background
             # build, so stop() lands while builds are in flight.
             service_config=ServiceConfig(
@@ -426,7 +503,7 @@ class TestElasticity:
         decisions_path = str(tmp_path / "decisions.jsonl")
         label, _profile, stream = app_streams["wordpress"]
         router = FleetRouter(
-            config=FleetConfig(workers=2, seed=1, autoscale=True),
+            config=FleetConfig(workers=2, autoscale=True),
             service_config=ServiceConfig(
                 reservoir_capacity=1 << 20,
                 deadline_ms=60_000,
@@ -540,7 +617,6 @@ class TestFleetConfigValidation:
             ({"workers": 0}, "workers must be positive"),
             ({"replicas": 0}, "replicas must be >= 1"),
             ({"queue_depth": 0}, "queue_depth"),
-            ({"start_method": "threads"}, "start_method"),
             ({"workers": 9, "max_workers": 8}, "must lie in"),
         ],
     )
@@ -596,12 +672,13 @@ class TestRouterConstructor:
 # ----------------------------------------------------------------------
 class TestSpawnedWorkers:
     def test_spawned_workers_run_the_routers_service_config(
-        self, app_streams
+        self, app_streams, monkeypatch
     ):
         """spawn: the ServiceConfig travels in the worker's process args."""
         label, _profile, stream = app_streams["wordpress"]
+        monkeypatch.setattr(fleet, "START_METHOD", "spawn")
         router = FleetRouter(
-            config=FleetConfig(workers=1, start_method="spawn"),
+            config=FleetConfig(workers=1),
             service_config=ServiceConfig(reservoir_capacity=777, queue_depth=33),
             sim_config=SIM_CFG,
         )
@@ -619,13 +696,14 @@ class TestSpawnedWorkers:
 
 # ----------------------------------------------------------------------
 class TestFleetChaosParityAllApps:
-    def test_kill_rebalance_autoscale_drain_all_apps(self, tmp_path):
+    def test_kill_rebalance_autoscale_drain_all_apps(self, tmp_path, monkeypatch):
         """The acceptance run: all 9 apps streamed through a fleet that
         suffers >=1 worker crash (journal replay), >=1 rebalance under
         skew, autoscaler ticks, and a full drain -- site-for-site
         parity for every app, plus the JSONL artifacts."""
         journal_path = str(tmp_path / "journal.jsonl")
         decisions_path = str(tmp_path / "decisions.jsonl")
+        monkeypatch.setattr(fleet, "RING_SEED", 7)
         report = run_fleet(
             Scenario(
                 apps=app_names(),
@@ -633,7 +711,7 @@ class TestFleetChaosParityAllApps:
                 batch_size=BATCH,
                 seed=7,
             ),
-            FleetConfig(workers=3, replicas=2, autoscale=True, seed=7),
+            FleetConfig(workers=3, replicas=2, autoscale=True),
             Chaos(kill_after=4, rebalance_after=8, autoscale_every=6),
             journal_path=journal_path,
             decisions_path=decisions_path,

@@ -142,7 +142,6 @@ class TestRoundTrip:
         version, stats, drained = asyncio.run(scenario())
         offline = build_plan(tiny_workload, profile, CFG)
         assert plans_equivalent(version.plan, offline)
-        assert version.checked
         shard = stats["shards"][f"{APP}/{profile.input_label}"]
         assert shard["generation"] > 0
         assert drained["closed"] is True or drained.get("shards")
@@ -252,6 +251,44 @@ class TestWireVersioning:
         assert data["error"]["type"] == "TransportError"
         assert "unsupported wire schema version 2" in data["error"]["message"]
         assert stats["counters"].get("service.ingest_batches", 0) == 0
+
+    def test_version_three_plan_request_is_refused(self, tiny_workload):
+        """A version-3 peer still expects plan versions to carry ``checked``."""
+
+        async def scenario():
+            service = make_service(tiny_workload)
+            await service.start()
+            async with HttpPlanServer(service) as server:
+                status, data = await raw_request(
+                    "127.0.0.1",
+                    server.port,
+                    request_bytes(
+                        "POST",
+                        "/v1/plan",
+                        payload={"schema_version": 3, "app": APP, "input": "x"},
+                        schema=3,
+                    ),
+                )
+            await service.stop()
+            return status, data
+
+        status, data = asyncio.run(scenario())
+        assert status == 400
+        assert data["error"]["type"] == "TransportError"
+        assert "unsupported wire schema version 3" in data["error"]["message"]
+
+    def test_client_refuses_version_three_plan_response(self):
+        version = plan_version_to_dict(SMALL)
+        version["checked"] = True
+        body = json.dumps({"schema_version": 3, "plan_version": version}).encode()
+        response = (
+            b"HTTP/1.1 200 OK\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\nX-Repro-Schema: 3\r\n\r\n"
+            + body
+        )
+        with pytest.raises(TransportError, match="unsupported wire schema version"):
+            fetch_from(response)
 
     def test_client_refuses_version_two_response(self):
         body = json.dumps({"schema_version": 2, "status": "ok"}).encode()
@@ -684,7 +721,6 @@ def _small_version() -> PlanVersion:
         samples=3,
         plan=plan,
         diff=PlanDiff(added=((3, 64), (3, 96)), dropped=(), retargeted=()),
-        checked=True,
     )
 
 

@@ -136,7 +136,6 @@ class TestPlanVersionRoundTrip:
         builder = IncrementalPlanBuilder(
             workload_for=lambda app: tiny_workload,
             config=CFG,
-            check_plans=False,
         )
         version = builder.build(buffer.get((APP, profile.input_label)))
         data = json.loads(json.dumps(plan_version_to_dict(version)))
@@ -158,14 +157,12 @@ class TestPlanVersionRoundTrip:
         builder = IncrementalPlanBuilder(
             workload_for=lambda app: tiny_workload,
             config=CFG,
-            check_plans=False,
         )
         v1 = builder.build(buffer.get((APP, label)))
 
         reloaded = IncrementalPlanBuilder(
             workload_for=lambda app: tiny_workload,
             config=CFG,
-            check_plans=False,
         )
         reloaded.restore_version(
             plan_version_from_dict(
@@ -192,7 +189,6 @@ class TestPlanVersionRoundTrip:
             samples=11,
             plan=plan,
             diff=PlanDiff(added=added, dropped=dropped, retargeted=retargeted),
-            checked=True,
         )
         text = json.dumps(plan_version_to_dict(version))
         assert plan_version_from_dict(json.loads(text)) == version
@@ -232,7 +228,7 @@ def small_version(diff: PlanDiff = PlanDiff((), (), ())) -> PlanVersion:
     plan.add_op(InjectionOp(OP_PREFETCH, 3, ((64, 128, 1),), 6))
     return PlanVersion(
         key=(APP, "0"), version=1, generation=1, samples=1,
-        plan=plan, diff=diff, checked=False,
+        plan=plan, diff=diff,
     )
 
 
@@ -245,7 +241,6 @@ class TestCaptureApply:
         builder = IncrementalPlanBuilder(
             workload_for=lambda app: tiny_workload,
             config=CFG,
-            check_plans=False,
         )
         built = builder.build(buffer.get((APP, label)))
         source = Holder(buffer, builder)
@@ -258,7 +253,6 @@ class TestCaptureApply:
         target_builder = IncrementalPlanBuilder(
             workload_for=lambda app: tiny_workload,
             config=CFG,
-            check_plans=False,
         )
         target = Holder(make_buffer(), target_builder)
         shards, plans, counts = apply_snapshot(target, data)
@@ -358,7 +352,7 @@ class TestSnapshotStore:
         _, stream = stream_artifacts
         buffer = make_buffer()
         builder = IncrementalPlanBuilder(
-            workload_for=lambda app: tiny_workload, config=CFG, check_plans=False
+            workload_for=lambda app: tiny_workload, config=CFG
         )
         for label in ("0", "1"):
             feed(buffer, stream, label, upto=4)
@@ -446,4 +440,33 @@ class TestVersionTwoState:
             shard["sketch"] = {"rows": [[0] * 1024] * 4, "total": 0}
         SnapshotStore(state).write(data)
         with pytest.raises(SnapshotError, match="schema version 2"):
+            service().restore()
+
+
+class TestVersionThreeState:
+    """A state directory written while plan versions carried ``checked``."""
+
+    def test_restore_refuses_it_as_a_snapshot_error(
+        self, tmp_path, tiny_workload, stream_artifacts
+    ):
+        profile, stream = stream_artifacts
+        state = str(tmp_path / "snapshots")
+
+        def service() -> PlanService:
+            return PlanService(
+                workload_for=lambda app: tiny_workload,
+                config=ServiceConfig(snapshot_dir=state),
+                sim_config=CFG,
+            )
+
+        source = service()
+        feed(source.buffer, stream, profile.input_label, upto=2)
+        source.builder.build(source.buffer.get((APP, profile.input_label)))
+        data = capture_snapshot(source, 1, {})
+        data.update(format=3, schema_version=3)
+        assert data["plans"]
+        for plan in data["plans"]:
+            plan["checked"] = True
+        SnapshotStore(state).write(data)
+        with pytest.raises(SnapshotError, match="schema version 3"):
             service().restore()

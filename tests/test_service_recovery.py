@@ -22,6 +22,7 @@ from repro.config import SimConfig
 from repro.core.twig import build_plan
 from repro.service.bench import _abandon_service, collect_sample_stream
 from repro.service.build import plan_sites, plans_equivalent
+from repro.service import fleet
 from repro.service.fleet import FleetConfig, FleetRouter
 from repro.service.server import (
     PlanService,
@@ -99,7 +100,6 @@ def make_service(state_dir: str) -> PlanService:
             snapshot_every=4,
         ),
         sim_config=SIM_CFG,
-        check_plans=True,
     )
 
 
@@ -217,9 +217,14 @@ class TestSingleServiceRecovery:
 
 
 class TestFleetRecovery:
+    @pytest.fixture(autouse=True)
+    def ring_seed_one(self, monkeypatch):
+        """Every router here places its virtual nodes from seed 1."""
+        monkeypatch.setattr(fleet, "RING_SEED", 1)
+
     def make_router(self, journal_path: str) -> FleetRouter:
         return FleetRouter(
-            config=FleetConfig(workers=2, seed=1),
+            config=FleetConfig(workers=2),
             service_config=ServiceConfig(
                 reservoir_capacity=1 << 20,
                 deadline_ms=60_000,
@@ -297,7 +302,7 @@ class TestFleetRecovery:
 
         def make_router(tag: str) -> FleetRouter:
             return FleetRouter(
-                config=FleetConfig(workers=2, replicas=1, seed=1),
+                config=FleetConfig(workers=2, replicas=1),
                 service_config=ServiceConfig(
                     reservoir_capacity=1 << 20,
                     deadline_ms=60_000,

@@ -75,7 +75,6 @@ class TestServeFlow:
         version = asyncio.run(scenario())
         offline = build_plan(tiny_workload, profile, CFG)
         assert plans_equivalent(version.plan, offline)
-        assert version.checked
         assert version.samples == len(stream)
 
     def test_plan_for_unknown_shard_fails(self, tiny_workload):
@@ -212,10 +211,13 @@ class TestDrain:
 
 
 class TestPublishGate:
-    def test_corrupted_plan_is_rejected(self, tiny_workload, stream_artifacts):
+    def test_corrupted_plan_is_rejected(
+        self, tiny_workload, stream_artifacts, monkeypatch
+    ):
         profile, stream = stream_artifacts
 
-        def corrupt(plan):
+        def corrupt_build(workload, profile, config):
+            plan = build_plan(workload, profile, config)
             entry = next(
                 op.entries[0] for ops in plan.ops_by_block.values() for op in ops
             )
@@ -226,17 +228,18 @@ class TestPublishGate:
                 bytes_cost=BRPREFETCH_BYTES,
             )
             plan.ops_by_block.setdefault(bad.block, []).append(bad)
+            return plan
 
         async def scenario():
             service = make_service(tiny_workload, debounce_s=60.0)
-            service.builder.post_build_hook = corrupt
+            monkeypatch.setattr("repro.service.build.build_plan", corrupt_build)
             await service.start()
             await service.ingest(APP, profile.input_label, stream)
             with pytest.raises(PlanError, match="publish gate"):
                 await service.get_plan(APP, profile.input_label)
             # The rejected candidate must not have been published.
             assert service.builder.latest((APP, profile.input_label)) is None
-            service.builder.post_build_hook = None
+            monkeypatch.undo()
             version = await service.get_plan(APP, profile.input_label)
             stats = await service.stop()
             return version, stats
@@ -246,23 +249,44 @@ class TestPublishGate:
         shard = stats["shards"][f"{APP}/{profile.input_label}"]
         assert shard["last_build_error"] is None
 
-    def test_gate_can_be_disabled(self, tiny_workload, stream_artifacts):
+
+class TestWorkerErrors:
+    def test_a_non_repro_error_fails_its_request_and_the_worker_serves_on(
+        self, tiny_workload, stream_artifacts
+    ):
         profile, stream = stream_artifacts
+        label = profile.input_label
 
         async def scenario():
-            service = PlanService(
-                workload_for=lambda app: tiny_workload,
-                config=ServiceConfig(debounce_s=60.0),
-                sim_config=CFG,
-                check_plans=False,
-            )
-            await service.start()
-            await service.ingest(APP, profile.input_label, stream)
-            version = await service.get_plan(APP, profile.input_label)
-            await service.stop()
-            return version
+            # One worker task: the requests after the failure can only
+            # be served if that task survived it.
+            service = make_service(tiny_workload, workers=1)
+            real = service.stats_snapshot
+            calls = []
 
-        assert asyncio.run(scenario()).checked is False
+            def stats_snapshot():
+                calls.append(1)
+                if len(calls) == 1:
+                    raise RuntimeError("stats bug")
+                return real()
+
+            service.stats_snapshot = stats_snapshot
+            await service.start()
+            with pytest.raises(ServiceError) as info:
+                await service.stats()
+            ack = await service.ingest(APP, label, stream, seq=0)
+            version = await service.get_plan(APP, label)
+            final = await service.stop()
+            return info.value, ack, version, final
+
+        error, ack, version, final = asyncio.run(scenario())
+        assert type(error) is ServiceError
+        assert "RuntimeError: stats bug" in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
+        assert ack.received == len(stream)
+        assert plans_equivalent(version.plan, build_plan(tiny_workload, profile, CFG))
+        assert final["counters"]["service.worker_errors"] == 1
+        assert final["shards"][f"{APP}/{label}"]["dirty"] is False
 
 
 class TestVersioning:
@@ -295,6 +319,29 @@ class TestVersioning:
         ) + len(diff_plans(v1.plan, v2.plan).retargeted)
         offline = build_plan(tiny_workload, profile, CFG)
         assert plans_equivalent(v2.plan, offline)
+
+
+def test_the_cli_and_a_started_plan_server_load_no_staticcheck(tmp_path):
+    # The publish gate imports repro.staticcheck on the first build.
+    probe = (
+        "import asyncio, sys\n"
+        "from repro.experiments.__main__ import main\n"
+        "from repro.service.server import PlanService\n"
+        "async def serve():\n"
+        "    service = await PlanService().start()\n"
+        "    await service.stop()\n"
+        "asyncio.run(serve())\n"
+        "assert main(['--list']) == 0\n"
+        "print('repro.staticcheck' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_plan_server_imports_no_bench_fleet_or_ring():

@@ -21,7 +21,7 @@ from repro.config import SimConfig
 from repro.core.twig import build_plan
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.profiling.collector import collect_profile
-from repro.staticcheck import BlockGraph, verify_plan
+from repro.staticcheck import BlockGraph, plan_timeliness
 
 _UNREACHED = 1 << 60
 CAPS = (0, 1, 2, 20)
@@ -268,20 +268,20 @@ def test_golden_plan_leads_match_reference(app):
 
 
 def test_one_graph_serves_concurrent_verifications(tiny_workload, tiny_trace):
-    """The service shares one graph across shard builds in executor
-    threads: it is read-only after construction, so concurrent verifies
-    must all equal a serial one."""
+    """Gates share one graph per workload across shard builds in
+    executor threads: it is read-only after construction, so concurrent
+    lead searches over it must all equal a serial one."""
     cfg = SimConfig()
     plan = build_plan(tiny_workload, collect_profile(tiny_workload, tiny_trace, cfg), cfg)
     graph = BlockGraph(tiny_workload, fetch_width_bytes=cfg.core.fetch_width_bytes)
-    expected = verify_plan(plan, tiny_workload, cfg, graph=graph)
+    expected = plan_timeliness(plan, tiny_workload, cfg, graph=graph)
     assert any(f.rule == "P107" for f in expected)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(verify_plan, plan, tiny_workload, cfg, graph)
+                pool.submit(plan_timeliness, plan, tiny_workload, cfg, graph)
                 for _ in range(8)
             ]
             results = [f.result(timeout=120) for f in futures]

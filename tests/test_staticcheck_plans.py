@@ -8,7 +8,10 @@ seeded location.
 
 from __future__ import annotations
 
+import asyncio
 import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -26,7 +29,15 @@ from repro.core.twig import build_plan
 from repro.errors import PlanError
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.profiling.collector import collect_profile
-from repro.staticcheck import BlockGraph, verify_plan, verify_workload
+from repro.service.bench import collect_sample_stream
+from repro.service.server import PlanService
+from repro.staticcheck import (
+    BlockGraph,
+    gate_plan,
+    plan_timeliness,
+    verify_plan,
+    verify_workload,
+)
 from repro.staticcheck.findings import Severity, exit_code
 from repro.workloads.cfg import KIND_RETURN, build_workload
 from repro.workloads.apps import app_names, get_app
@@ -233,7 +244,7 @@ class TestSeededDefectsCaught:
         site = preds[0]
         bad = replace(op, block=site)
         mutant.ops_by_block.setdefault(site, []).append(bad)
-        findings = verify_plan(mutant, tiny_workload, CFG, graph=graph)
+        findings = plan_timeliness(mutant, tiny_workload, CFG, graph=graph)
         hits = [
             f
             for f in findings
@@ -305,6 +316,76 @@ class TestRunnerIntegration:
 
     def test_verification_off_by_default(self):
         assert ExperimentRunner(self.SETTINGS).settings.check_plans is False
+
+
+class TestNoGateRunsTheLeadSearch:
+    """P107 is report-only: neither gate calls ``BlockGraph.min_lead``."""
+
+    @staticmethod
+    def refuse_lead_search(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gate ran the P107 lead search")
+
+        monkeypatch.setattr(BlockGraph, "min_lead", refuse)
+
+    @staticmethod
+    def publish(workload, trace):
+        """The first plan a PlanService publishes for *trace*'s samples."""
+        profile, stream = collect_sample_stream(workload, trace, CFG)
+
+        async def scenario():
+            service = PlanService(workload_for=lambda app: workload, sim_config=CFG)
+            async with service:
+                await service.ingest("tinyapp", profile.input_label, stream)
+                return await service.get_plan("tinyapp", profile.input_label)
+
+        return asyncio.run(scenario())
+
+    def test_service_publish(self, tiny_workload, tiny_trace, monkeypatch):
+        self.refuse_lead_search(monkeypatch)
+        assert self.publish(tiny_workload, tiny_trace).version == 1
+
+    def test_runner_check_plans(self, monkeypatch):
+        self.refuse_lead_search(monkeypatch)
+        runner = ExperimentRunner(
+            replace(TestRunnerIntegration.SETTINGS, check_plans=True)
+        )
+        assert runner.plan("wordpress").total_ops() > 0
+
+    def test_plan_timeliness_still_reports_p107(
+        self, tiny_workload, tiny_trace, monkeypatch
+    ):
+        self.refuse_lead_search(monkeypatch)
+        version = self.publish(tiny_workload, tiny_trace)
+        monkeypatch.undo()
+        findings = plan_timeliness(version.plan, tiny_workload, CFG)
+        assert findings and {f.rule for f in findings} == {"P107"}
+
+
+def test_concurrent_gates_build_one_graph(tiny_plan, tiny_workload, monkeypatch):
+    # A copy is a workload the graph cache has not seen.
+    workload = copy.copy(tiny_workload)
+    built = []
+    init = BlockGraph.__init__
+
+    def counting_init(graph, *args, **kwargs):
+        built.append(1)
+        init(graph, *args, **kwargs)
+
+    monkeypatch.setattr(BlockGraph, "__init__", counting_init)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(gate_plan, tiny_plan, workload, CFG)
+                for _ in range(16)
+            ]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [None] * 16
+    assert len(built) == 1
 
 
 @pytest.mark.slow
